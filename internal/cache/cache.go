@@ -270,6 +270,9 @@ type Cache struct {
 	stats   Stats
 	// onCounterZero hooks external waiters (processor eviction stalls).
 	onCounterZero []func()
+	// busy, when set (TrackBusy), holds this cache's ID exactly while
+	// mshrList or wbList is non-empty.
+	busy *BusySet
 
 	// nReserved / nDeferred track how many lines hold a reserve bit and
 	// how many forwards sit deferred, so the counter-zero sweep and
@@ -364,6 +367,7 @@ func (c *Cache) Reset(retryTimeout sim.Time, retryMax int) {
 	c.nReserved = 0
 	c.nDeferred = 0
 	c.lineN = 0
+	c.noteBusy()
 	c.cfg.RetryTimeout = retryTimeout
 	c.cfg.RetryMax = retryMax
 	c.cfg.RetryBackoffCap = 0
@@ -502,6 +506,7 @@ func (c *Cache) installMSHR(a mem.Addr, m *mshr) {
 	c.mshrTab[a] = m
 	m.listIdx = int32(len(c.mshrList))
 	c.mshrList = append(c.mshrList, a)
+	c.noteBusy()
 }
 
 // removeMSHR retires m without releasing it (callers may still be
@@ -515,6 +520,7 @@ func (c *Cache) removeMSHR(m *mshr) {
 	}
 	c.mshrList = c.mshrList[:last]
 	c.mshrTab[m.addr] = nil
+	c.noteBusy()
 }
 
 // ackAt returns a's pending ack collection, or nil.
@@ -544,6 +550,7 @@ func (c *Cache) installWb(a mem.Addr, w *wbTxn) {
 	c.wbTab[a] = w
 	w.listIdx = int32(len(c.wbList))
 	c.wbList = append(c.wbList, a)
+	c.noteBusy()
 }
 
 // removeWb completes a's writeback (no-op when none is outstanding,
@@ -562,6 +569,41 @@ func (c *Cache) removeWb(a mem.Addr) {
 	c.wbList = c.wbList[:last]
 	c.wbTab[a] = nil
 	c.wbFree = append(c.wbFree, w)
+	c.noteBusy()
+}
+
+// BusySet holds the IDs of the caches, among those tracking it, that have
+// an outstanding MSHR or writeback: the only caches whose retry timers can
+// fire. Each cache updates it as those lists turn non-empty or empty, so
+// polling retry deadlines visits busy caches only, never every cache.
+type BusySet struct{ ids []int }
+
+// IDs returns the busy caches' IDs in ascending order. Polling does not
+// change the set (resends are delivered by kernel events, not inline),
+// so the slice may be ranged over while calling CheckTimeouts.
+func (s *BusySet) IDs() []int { return s.ids }
+
+func (s *BusySet) set(id int, busy bool) {
+	i, found := slices.BinarySearch(s.ids, id)
+	if busy && !found {
+		s.ids = slices.Insert(s.ids, i, id)
+	} else if !busy && found {
+		s.ids = slices.Delete(s.ids, i, i+1)
+	}
+}
+
+// TrackBusy makes s hold this cache's ID exactly while it has an
+// outstanding MSHR or writeback.
+func (c *Cache) TrackBusy(s *BusySet) {
+	c.busy = s
+	c.noteBusy()
+}
+
+// noteBusy brings c.busy up to date after mshrList or wbList changed.
+func (c *Cache) noteBusy() {
+	if c.busy != nil {
+		c.busy.set(c.cfg.ID, len(c.mshrList)+len(c.wbList) > 0)
+	}
 }
 
 // markSweep queues a for the next counter-zero sweep (the line set a

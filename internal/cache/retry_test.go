@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"weakorder/internal/mem"
@@ -51,6 +52,7 @@ type retryRig struct {
 	k      *sim.Kernel
 	caches []*Cache
 	dir    *Directory
+	busy   *BusySet // when set, checked against the caches every cycle
 }
 
 func newRetryRig(t *testing.T, n int, wrap func(network.Network) network.Network, cacheCfg func(*Config)) *retryRig {
@@ -77,6 +79,7 @@ func (r *retryRig) settle(t *testing.T) {
 	t.Helper()
 	for cycle := uint64(1); cycle < 100_000; cycle++ {
 		r.k.AdvanceTo(sim.Time(cycle))
+		r.checkBusySet(t)
 		busy := r.k.Pending() > 0
 		for _, c := range r.caches {
 			c.CheckTimeouts(r.k.Now())
@@ -89,6 +92,24 @@ func (r *retryRig) settle(t *testing.T) {
 		}
 	}
 	t.Fatal("retry rig did not settle within 100000 cycles")
+}
+
+// checkBusySet requires r.busy to list, in ascending order, exactly the
+// caches with an in-flight transaction or writeback.
+func (r *retryRig) checkBusySet(t *testing.T) {
+	t.Helper()
+	if r.busy == nil {
+		return
+	}
+	var want []int
+	for i, c := range r.caches {
+		if len(c.PendingLines())+len(c.WritebackLines()) > 0 {
+			want = append(want, i)
+		}
+	}
+	if got := r.busy.IDs(); !slices.Equal(got, want) {
+		t.Fatalf("busy set %v, want %v", got, want)
+	}
 }
 
 func (r *retryRig) doOp(t *testing.T, c int, kind mem.Kind, addr mem.Addr, data mem.Value) mem.Value {
@@ -140,6 +161,33 @@ func TestRetryRecoversFromDrops(t *testing.T) {
 			t.Fatalf("cache %d still busy after settle", i)
 		}
 	}
+}
+
+// The busy set follows every cache's MSHR and writeback lists through
+// misses, upgrades, evictions, dropped-and-retried requests and Reset.
+func TestBusySetTracksOutstanding(t *testing.T) {
+	r := newRetryRig(t, 3, func(inner network.Network) network.Network {
+		return &lossyNet{Network: inner, seen: make(map[string]bool)}
+	}, func(cfg *Config) { cfg.Capacity = 1 })
+	r.busy = &BusySet{}
+	for _, c := range r.caches {
+		c.TrackBusy(r.busy)
+	}
+	for i, c := range r.caches {
+		c.Issue(&Req{Kind: mem.Write, Addr: mem.Addr(i), Data: 1})
+		c.Issue(&Req{Kind: mem.Write, Addr: mem.Addr(i + 3), Data: 2}) // evicts: PutX
+	}
+	r.k.AdvanceTo(r.k.Now() + 1)
+	r.checkBusySet(t)
+	if len(r.busy.IDs()) != 3 {
+		t.Fatalf("busy set %v after every cache missed, want all three", r.busy.IDs())
+	}
+	r.settle(t)
+	r.checkBusySet(t)
+	r.doOp(t, 1, mem.Read, 0, 0)
+	r.caches[2].Issue(&Req{Kind: mem.Read, Addr: 1})
+	r.caches[2].Reset(20, 0)
+	r.checkBusySet(t)
 }
 
 // Dropped PutX: the writeback retries until the WBAck arrives and the

@@ -365,7 +365,7 @@ type Machine struct {
 	cfg         Config
 	prog        *program.Program
 	kernel      *sim.Kernel
-	rng         *rand.Rand
+	src         rand.Source // arbitration stream (see shuffle)
 	net         network.Network
 	rawNet      network.Network // the interconnect beneath any fault injector
 	fnet        *faults.Net
@@ -382,10 +382,19 @@ type Machine struct {
 	pendingMigrations []Migration
 	suspending        bool
 
-	// order and swap are Run's arbitration-shuffle scratch, allocated
-	// once so pooled machines run allocation-free.
-	order []int
-	swap  func(i, j int)
+	// order is the arbitration permutation of every processor, reshuffled
+	// each cycle. live marks the processors that can still act (not
+	// Halted after a drain phase; nLive counts them), and act lists the
+	// current cycle's live processors in arbitration order: only those are
+	// stepped. busy holds the caches with outstanding transactions, the
+	// only ones whose retry timers need polling. All are allocated once so
+	// pooled machines run allocation-free.
+	order     []int
+	live      []bool
+	nLive     int
+	act       []int
+	busy      cache.BusySet
+	idleNames []string // padding processors' thread names, built once
 
 	// Telemetry (nil when Config.Metrics/Timeline are off; see
 	// internal/metrics for why recording cannot perturb the run).
@@ -411,7 +420,7 @@ func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
 		cfg:    cfg,
 		prog:   prog,
 		kernel: &sim.Kernel{},
-		rng:    rand.New(rand.NewSource(seed ^ 0x5eed)),
+		src:    rand.NewSource(seed ^ 0x5eed),
 	}
 	if cfg.Metrics {
 		m.reg = metrics.NewRegistry()
@@ -550,6 +559,7 @@ func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
 				}
 			}
 			c := cache.New(m.kernel, m.net, ccfg)
+			c.TrackBusy(&m.busy)
 			m.caches = append(m.caches, c)
 			m.ports = append(m.ports, c)
 		}
@@ -590,13 +600,8 @@ func meshDims(n int) (w, h int) {
 // validates migrations.
 func (m *Machine) finishProcs(prog *program.Program, nProcs int) (*Machine, error) {
 	cfg := m.cfg
+	m.idleNames = make([]string, nProcs)
 	for i := 0; i < nProcs; i++ {
-		var th program.Thread
-		if i < prog.NumThreads() {
-			th = prog.Threads[i]
-		} else {
-			th = program.Thread{Name: fmt.Sprintf("idle%d", i)}
-		}
 		track := m.procTrack(i)
 		p := cpu.New(m.kernel, cpu.Config{
 			ID:                   i,
@@ -605,7 +610,7 @@ func (m *Machine) finishProcs(prog *program.Program, nProcs int) (*Machine, erro
 			WriteBufferSize:      cfg.WriteBuffer,
 			MaxOutstandingWrites: cfg.MaxOutstandingWrites,
 			Track:                track,
-		}, th, m.ports[i], func(op mem.Op) {
+		}, m.thread(prog, i), m.ports[i], func(op mem.Op) {
 			m.trace = append(m.trace, op)
 			m.traceCycles = append(m.traceCycles, uint64(m.kernel.Now()))
 			if track != nil {
@@ -620,19 +625,28 @@ func (m *Machine) finishProcs(prog *program.Program, nProcs int) (*Machine, erro
 		}
 	}
 	m.order = make([]int, nProcs)
-	m.swap = func(i, j int) { m.order[i], m.order[j] = m.order[j], m.order[i] }
+	m.live = make([]bool, nProcs)
+	m.act = make([]int, 0, nProcs)
 	return m, nil
+}
+
+// thread is the program run by processor i: its own thread, or an empty
+// padding thread whose name is built once per machine, so that pooled
+// resets do not allocate it again.
+func (m *Machine) thread(prog *program.Program, i int) program.Thread {
+	if i < prog.NumThreads() {
+		return prog.Threads[i]
+	}
+	if m.idleNames[i] == "" {
+		m.idleNames[i] = fmt.Sprintf("idle%d", i)
+	}
+	return program.Thread{Name: m.idleNames[i]}
 }
 
 // done reports whether all processors halted and every component drained.
 func (m *Machine) done() bool {
-	if len(m.pendingMigrations) > 0 {
+	if len(m.pendingMigrations) > 0 || m.nLive > 0 {
 		return false
-	}
-	for _, p := range m.procs {
-		if !p.Halted() {
-			return false
-		}
 	}
 	for _, port := range m.ports {
 		if port.Busy() {
@@ -654,11 +668,24 @@ func (m *Machine) done() bool {
 // Each cycle, every front end ticks (in a seeded arbitration order), then
 // every write buffer drains: reads dispatched this cycle reach the
 // interconnect ahead of older buffered writes.
+//
+// A Halted processor (front end halted, write buffer empty) does nothing
+// in any phase until a migration installs a thread on it: kernel events
+// neither halt nor wake a processor. So a processor leaves the live set
+// once it is Halted after the drain phase and rejoins only in
+// stepMigrations, and each cycle steps the live processors alone, in
+// their places in the arbitration order, which is still drawn over every
+// processor.
 func (m *Machine) Run() (*RunResult, error) {
 	m.pendingMigrations = append([]Migration(nil), m.cfg.Migrations...)
-	order, swap := m.order, m.swap
-	for i := range order {
+	order := m.order
+	m.nLive = 0
+	for i, p := range m.procs {
 		order[i] = i
+		m.live[i] = !p.Halted()
+		if m.live[i] {
+			m.nLive++
+		}
 	}
 	for cycle := uint64(1); ; cycle++ {
 		if m.done() {
@@ -669,20 +696,32 @@ func (m *Machine) Run() (*RunResult, error) {
 		}
 		m.kernel.AdvanceTo(sim.Time(cycle))
 		m.stepMigrations(cycle)
-		m.rng.Shuffle(len(order), swap)
+		shuffle(m.src, order)
+		act := m.act[:0]
 		for _, i := range order {
+			if m.live[i] {
+				act = append(act, i)
+			}
+		}
+		for _, i := range act {
 			m.procs[i].Tick()
 			if err := m.procs[i].Err(); err != nil {
 				return nil, err
 			}
 		}
-		for _, i := range order {
-			m.procs[i].Drain()
+		for _, i := range act {
+			p := m.procs[i]
+			p.Drain()
+			if p.Halted() {
+				m.live[i] = false
+				m.nLive--
+			}
 		}
 		// Retry timeouts are polled, not kernel events: a timer event would
-		// keep Pending() nonzero and wedge done()-detection.
-		for _, c := range m.caches {
-			c.CheckTimeouts(m.kernel.Now())
+		// keep Pending() nonzero and wedge done()-detection. Only a cache
+		// with an outstanding transaction has a timer to poll.
+		for _, id := range m.busy.IDs() {
+			m.caches[id].CheckTimeouts(m.kernel.Now())
 		}
 		if m.net != nil {
 			if err := m.net.Err(); err != nil {
@@ -700,9 +739,12 @@ func (m *Machine) Run() (*RunResult, error) {
 		if m.cfg.DisableFastForward || len(m.pendingMigrations) > 0 {
 			continue
 		}
+		// Halted processors are quiescent and accrue no stall cycles, so
+		// act (a superset of the live set) covers every processor that
+		// matters here.
 		quiet := true
-		for _, p := range m.procs {
-			if !p.Quiescent() {
+		for _, i := range act {
+			if !m.procs[i].Quiescent() {
 				quiet = false
 				break
 			}
@@ -714,8 +756,8 @@ func (m *Machine) Run() (*RunResult, error) {
 		if t, ok := m.kernel.NextEvent(); ok && uint64(t) < target {
 			target = uint64(t)
 		}
-		for _, c := range m.caches {
-			if t, ok := c.NextRetryDeadline(); ok && uint64(t) < target {
+		for _, id := range m.busy.IDs() {
+			if t, ok := m.caches[id].NextRetryDeadline(); ok && uint64(t) < target {
 				target = uint64(t)
 			}
 		}
@@ -726,10 +768,10 @@ func (m *Machine) Run() (*RunResult, error) {
 		m.ffSkips++
 		m.ffCycles += skipped
 		for n := skipped; n > 0; n-- {
-			m.rng.Shuffle(len(order), swap)
+			shuffle(m.src, order)
 		}
-		for _, p := range m.procs {
-			p.AddStallCycles(skipped)
+		for _, i := range act {
+			m.procs[i].AddStallCycles(skipped)
 		}
 		m.kernel.AdvanceTo(sim.Time(target - 1))
 		cycle = target - 1
@@ -854,6 +896,10 @@ func (m *Machine) stepMigrations(cycle uint64) {
 		// The destination is busy: drop the migration rather than wedge
 		// the machine (validated configurations do not hit this).
 		panic(err)
+	}
+	if !m.live[mg.To] {
+		m.live[mg.To] = true
+		m.nLive++
 	}
 	m.pendingMigrations = m.pendingMigrations[1:]
 	m.suspending = false

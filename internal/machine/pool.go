@@ -115,9 +115,9 @@ func (m *Machine) Reset(prog *program.Program, cfg Config, seed int64) error {
 	m.cfg = cfg
 	m.prog = prog
 	m.kernel.Reset()
-	// Same stream as New's rand.New(rand.NewSource(seed ^ 0x5eed)): Seed
-	// rewinds the shared source in place.
-	m.rng.Seed(seed ^ 0x5eed)
+	// Same stream as New's rand.NewSource(seed ^ 0x5eed): Seed rewinds
+	// the source in place.
+	m.src.Seed(seed ^ 0x5eed)
 	m.trace = m.trace[:0]
 	m.traceCycles = m.traceCycles[:0]
 	m.pendingMigrations = nil
@@ -173,19 +173,13 @@ func (m *Machine) Reset(prog *program.Program, cfg Config, seed int64) error {
 	}
 
 	for i, p := range m.procs {
-		var th program.Thread
-		if i < prog.NumThreads() {
-			th = prog.Threads[i]
-		} else {
-			th = program.Thread{Name: fmt.Sprintf("idle%d", i)}
-		}
 		p.Reset(cpu.Config{
 			ID:                   i,
 			ThreadID:             i,
 			Policy:               cfg.Policy,
 			WriteBufferSize:      cfg.WriteBuffer,
 			MaxOutstandingWrites: cfg.MaxOutstandingWrites,
-		}, th)
+		}, m.thread(prog, i))
 	}
 	return nil
 }

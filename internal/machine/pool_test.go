@@ -146,6 +146,33 @@ func TestPooledMachineLivenessIdentical(t *testing.T) {
 	}
 }
 
+// Campaigns pad small programs to big machines, so a pooled 64-processor
+// Reset mostly rewinds padding processors: it must not allocate, not even
+// their thread names.
+func TestPooledPaddedResetAllocFree(t *testing.T) {
+	prog := gen.RaceFree(gen.RaceFreeConfig{Procs: 4}, 1)
+	cfg := Config{
+		Policy: policy.WODef2, Topology: TopoMesh, Caches: true,
+		DirMode: cache.DirLimitedPtr, ExtraProcs: 64 - prog.NumThreads(),
+	}
+	pool := NewPool()
+	m, err := pool.Get(prog, cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := m.Reset(prog, cfg, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("pooled 64-processor padded Reset allocated %.1f times, want 0", allocs)
+	}
+}
+
 // Reset must refuse structural mismatches, and the pool must fall back
 // to full reassembly (without retaining the machine) for configurations
 // that carry per-run observers.

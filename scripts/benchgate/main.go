@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 )
 
 type benchFile struct {
@@ -96,6 +97,17 @@ func load(path string) (benchFile, error) {
 	if err := json.Unmarshal(data, &f); err != nil {
 		return f, fmt.Errorf("%s: %w", path, err)
 	}
+	// go test suffixes a benchmark name with -GOMAXPROCS unless it is 1;
+	// strip the suffix so files from hosts with different core counts
+	// compare.
+	results := make(map[string]map[string]float64, len(f.Results))
+	for name, r := range f.Results {
+		if i := strings.LastIndexByte(name, '-'); i > 0 && strings.Trim(name[i+1:], "0123456789") == "" {
+			name = name[:i]
+		}
+		results[name] = r
+	}
+	f.Results = results
 	return f, nil
 }
 
