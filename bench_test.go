@@ -142,8 +142,8 @@ func BenchmarkTable6LitmusMatrix(b *testing.B) {
 }
 
 // BenchmarkCheckCampaign measures differential-campaign throughput (see
-// internal/check): generation, the machine matrix, and the cached SC
-// oracle together. Workers sub-benchmarks expose pool scaling; the
+// internal/check): generation, the machine matrix, and the per-program
+// SC oracle together. Workers sub-benchmarks expose pool scaling; the
 // summary must be identical across them (pinned by the package's own
 // determinism test), so the only thing varying is wall-clock.
 func BenchmarkCheckCampaign(b *testing.B) {
@@ -481,13 +481,11 @@ func BenchmarkSCMatchOracle(b *testing.B) {
 }
 
 // BenchmarkSatFastPath measures the polynomial appears-SC decision
-// stage (internal/sat) against the two oracle stages it preempts, on the
-// identical query: a campaign-shaped lock program's observed machine
-// result, which the fast path fully resolves (lock rf pins down through
-// the from-read and coherence-final rules). "search" is the
-// result-directed exhaustive fallback; "enumerate" is the SC outcome-set
-// construction a canonicalization miss pays before any set membership
-// test can answer.
+// stage (internal/sat) against the result-directed search it preempts,
+// on the identical query: a campaign-shaped lock program's observed
+// machine result, which the fast path fully resolves (lock rf pins down
+// through the from-read and coherence-final rules). "search" is the
+// campaign's exhaustive fallback for the queries the fast path hands on.
 func BenchmarkSatFastPath(b *testing.B) {
 	prog := gen.RaceFree(gen.RaceFreeConfig{
 		Procs: 2, Locks: 1, SharedPerLock: 2, PrivatePerProc: 1,
@@ -515,19 +513,6 @@ func BenchmarkSatFastPath(b *testing.B) {
 			}
 			if !m.OK {
 				b.Fatal("must appear SC")
-			}
-		}
-	})
-	b.Run("enumerate", func(b *testing.B) {
-		cfg := ideal.EnumConfig{
-			Interp:        ideal.Config{MaxMemOpsPerThread: 24},
-			SkipTruncated: true,
-			MaxPaths:      500_000,
-			Reduce:        true,
-		}
-		for i := 0; i < b.N; i++ {
-			if _, err := ideal.Enumerate(prog, cfg, func(*ideal.Interp) error { return nil }); err != nil {
-				b.Fatal(err)
 			}
 		}
 	})

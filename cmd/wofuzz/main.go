@@ -62,7 +62,7 @@ func main() {
 		journal  = flag.String("journal", "", "append-only campaign journal: every completed program is checkpointed here")
 		resume   = flag.Bool("resume", false, "resume from an existing -journal instead of starting over")
 		deadline = flag.Duration("check-deadline", 0, "wall-clock budget per oracle decision (0 = unbounded; nonzero trades reproducibility for liveness)")
-		satfast  = flag.String("satfast", "on", "polynomial appears-SC fast path: on or off (off forces enumeration for every query)")
+		satfast  = flag.String("satfast", "on", "polynomial appears-SC fast path: on or off (off answers every query by result-directed search)")
 		listen   = flag.String("listen", "", "serve the campaign control plane on this address (/metrics, /progress, /violations, /summary, /debug/pprof)")
 		progIntv = flag.Duration("progress-interval", 0, "emit a progress line to stderr at most this often (0 = off)")
 		progFmt  = flag.String("progress", "json", "format of -progress-interval lines: json (one object per line, the /progress payload) or text")

@@ -18,10 +18,12 @@
 // litmus text plus a JSON report into a corpus directory (corpus.go);
 // the committed corpus replays as a regression suite.
 //
-// The expensive appears-SC oracle is cached per program hash: the full
-// SC outcome set is enumerated once per distinct program and shared
-// across every config and machine seed, with a result-directed search as
-// fallback when enumeration exceeds its budget.
+// Every observed result gets one appears-SC question (Lemma 1), answered
+// per program on one path: a program-local memo answers repeated
+// observations, the polynomial saturation fast path (internal/sat)
+// decides most of the rest, and a budgeted result-directed search
+// (internal/scmatch) answers what the fast path hands on. Workers share
+// no oracle state.
 package check
 
 import (
@@ -29,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 	"time"
 
 	"weakorder/internal/cache"
@@ -39,10 +40,8 @@ import (
 	"weakorder/internal/gen"
 	"weakorder/internal/ideal"
 	"weakorder/internal/machine"
-	"weakorder/internal/mem"
 	"weakorder/internal/policy"
 	"weakorder/internal/program"
-	"weakorder/internal/scmatch"
 	"weakorder/internal/sim"
 )
 
@@ -113,17 +112,17 @@ type CampaignConfig struct {
 	// code generation — must match this configuration exactly.
 	Resume bool
 	// CheckDeadline, when positive, bounds the wall-clock time of each
-	// oracle decision (outcome-set enumeration, result-directed search,
+	// oracle decision (saturation fast path, result-directed search,
 	// DRF classification). An over-budget check is cooperatively
 	// canceled and recorded as a SkipRecord in the Summary instead of
 	// hanging its worker. Zero disables deadlines, which is required for
 	// byte-reproducible summaries (a skip depends on host speed).
 	CheckDeadline time.Duration
-	// NoSatFast disables the tier-0 polynomial appears-SC fast path
-	// (internal/sat) and answers every oracle query by enumeration or
-	// result-directed search alone — the escape hatch for differential
+	// NoSatFast disables the polynomial appears-SC fast path
+	// (internal/sat) and answers every oracle query by the
+	// result-directed search alone — the reference for differential
 	// debugging of the fast path itself (`wofuzz -satfast=off`). Verdicts
-	// are identical either way within the search budgets (the fast path
+	// are identical either way within the search budget (the fast path
 	// accepts only via a verified witness and rejects only on a
 	// contradiction); only the oracle accounting differs.
 	NoSatFast bool
@@ -184,12 +183,12 @@ func (c CampaignConfig) withDefaults() CampaignConfig {
 	return c
 }
 
-// Search budgets. The oracle enumerates small generated programs
-// completely well inside these; spin-loop programs truncate and fall
-// back to the result-directed search.
+// Search budgets. The DRF classification enumerates small generated
+// programs completely well inside these; the result-directed search is
+// bounded by states visited, not by operations per thread, so spin-loop
+// results stay decidable.
 const (
 	oracleMemOpsPerThread = 16
-	oracleEnumMaxPaths    = 200_000
 	oracleMatchMaxStates  = 300_000
 	drfCheckMaxPaths      = 100_000
 	campaignMaxCycles     = 500_000
@@ -199,21 +198,6 @@ const (
 	// budget itself.
 	livenessShrinkMaxCycles = 50_000
 )
-
-// oracleEnumConfig bounds the SC outcome-set enumeration. Partial-order
-// reduction is on: the oracle consumes only mem.Result keys, which are
-// invariant across interleavings that commute non-conflicting
-// operations, so one representative per Mazurkiewicz trace yields the
-// identical outcome set (TestOracleEquivalenceNaiveVsReduced asserts
-// this differentially) while MaxPaths truncates far less often.
-func oracleEnumConfig() ideal.EnumConfig {
-	return ideal.EnumConfig{
-		Interp:        ideal.Config{MaxMemOpsPerThread: oracleMemOpsPerThread},
-		SkipTruncated: true,
-		MaxPaths:      oracleEnumMaxPaths,
-		Reduce:        true,
-	}
-}
 
 // boundedDRFConfig bounds the DRF classification. Reduction needs
 // PreserveSyncOrder here: the hb builders order same-address
@@ -230,7 +214,7 @@ func boundedDRFConfig() drf.CheckConfig {
 }
 
 // genSpec is one entry of the generator catalog. Shapes are kept small
-// enough that the oracle usually enumerates the full SC outcome set.
+// enough that the DRF classification usually enumerates every execution.
 type genSpec struct {
 	name  string
 	class string // ClassDRF for by-construction generators, "" to decide by checking
@@ -309,58 +293,6 @@ func deriveSeed(campaign int64, parts ...uint64) int64 {
 
 func simTime(v int64) sim.Time { return sim.Time(v) }
 
-// oracleEntry caches the SC oracle for one distinct *canonical* program:
-// the enumerated outcome-key set (complete or budget-truncated) in
-// canonical coordinates, plus a memo of result-directed searches for
-// keys outside an incomplete set, plus the memoized DRF classification.
-// Programs that are isomorphic up to thread permutation and address
-// renaming share one entry (see canon.go).
-//
-// The entry keeps no statistics: oracle accounting lives in the
-// per-program progOutcome records (simRecord's L1/Enum/Budget flags) and
-// is aggregated into OracleStats by summarize. Attributing every event
-// to a program — never to shared entry state — is what lets a resumed
-// campaign (journal.go) rebuild the exact statistics of an uninterrupted
-// one from a mix of journaled and freshly computed outcomes.
-type oracleEntry struct {
-	once     sync.Once
-	outcomes map[string]bool
-	complete bool
-
-	classOnce    sync.Once
-	class        string
-	classSkipped bool // DRF classification abandoned on deadline
-
-	mu   sync.Mutex
-	memo map[string]fallbackVerdict // canonical result key -> fallback search result
-}
-
-// fallbackVerdict memoizes one result-directed search: the appears-SC
-// verdict and whether it was the conservative budget-exceeded answer.
-// The budget flag rides along so every isomorphic program reports the
-// identical queryInfo for a key regardless of which instance ran the
-// search — the schedule-independence the summarize aggregation needs.
-type fallbackVerdict struct {
-	ok, budget bool
-}
-
-// queryInfo classifies how one appears-SC query was answered, for the
-// per-program oracle accounting.
-type queryInfo struct {
-	// enum: answered from the enumerated outcome set (a member, or a
-	// non-member of a complete set).
-	enum bool
-	// budget: the fallback search exceeded MaxStates and the result was
-	// conservatively treated as appearing SC.
-	budget bool
-	// sat: decided by the polynomial saturation fast path, before any
-	// enumeration or search touched the entry.
-	sat bool
-	// satFallback, when non-empty, is the fast path's fallback reason for
-	// a query that then went to enumeration/search.
-	satFallback string
-}
-
 // satMaxEvents bounds the saturation fast path's event graph. Campaign
 // results stay far below this; anything larger (deep spin loops) is
 // exactly the regime where the result-directed search's observation
@@ -371,116 +303,6 @@ const satMaxEvents = 2048
 // wall-clock deadline; the caller records a SkipRecord instead of a
 // verdict.
 var errDeadline = errors.New("check: per-check deadline exceeded")
-
-// oracle is the campaign-wide appears-SC cache, keyed by canonical
-// program hash and striped to keep entry lookup off the workers' shared
-// critical path — with one global mutex every simulation result
-// serialized on the same lock.
-type oracle struct {
-	stripes [oracleStripes]oracleStripe
-}
-
-type oracleStripe struct {
-	mu      sync.Mutex
-	entries map[string]*oracleEntry
-}
-
-// oracleStripes is the shard count (power of two; comfortably above any
-// realistic worker count so stripe collisions are rare).
-const oracleStripes = 64
-
-func newOracle() *oracle {
-	o := &oracle{}
-	for i := range o.stripes {
-		o.stripes[i].entries = make(map[string]*oracleEntry)
-	}
-	return o
-}
-
-func (o *oracle) entry(hash string) *oracleEntry {
-	// hash is hex, so single characters carry 4 bits; mix two.
-	s := &o.stripes[(hash[0]*31+hash[1])&(oracleStripes-1)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[hash]
-	if !ok {
-		e = &oracleEntry{memo: make(map[string]fallbackVerdict)}
-		s.entries[hash] = e
-	}
-	return e
-}
-
-func (e *oracleEntry) enumerate(p *program.Program, cn canon, cancel func() bool) {
-	e.once.Do(func() {
-		e.outcomes = make(map[string]bool)
-		cfg := oracleEnumConfig()
-		cfg.Cancel = cancel
-		stats, err := ideal.Enumerate(p, cfg, func(it *ideal.Interp) error {
-			e.outcomes[cn.key(mem.ResultOf(it.Execution()))] = true
-			return nil
-		})
-		// The set decides non-membership only when enumeration visited
-		// every execution: no budget/deadline error AND no truncated path
-		// (spin loops exceed the per-thread op budget and are silently
-		// skipped, so a "successful" truncated enumeration is still
-		// partial). Membership proves appears-SC either way; absence from
-		// a partial set falls back to the result-directed search.
-		e.complete = err == nil && stats.Truncated == 0
-	})
-}
-
-// appearsSC is the per-entry oracle decision for one observed result:
-// the first call enumerates the program's SC outcome set once (whichever
-// isomorphic program instance gets there first — the set is stored in
-// canonical coordinates, so all instances agree); later calls are set
-// lookups, with a memoized result-directed search when the set is
-// incomplete. key must be cn.key(res). cancel, when non-nil, is the
-// per-check deadline hook; an abandoned decision returns errDeadline and
-// is never memoized (a later query gets a fresh budget).
-func (e *oracleEntry) appearsSC(p *program.Program, cn canon, key string, res mem.Result, cancel func() bool) (bool, queryInfo, error) {
-	e.enumerate(p, cn, cancel)
-	e.mu.Lock()
-	if e.outcomes[key] {
-		e.mu.Unlock()
-		return true, queryInfo{enum: true}, nil
-	}
-	if e.complete {
-		e.mu.Unlock()
-		return false, queryInfo{enum: true}, nil
-	}
-	if v, seen := e.memo[key]; seen {
-		e.mu.Unlock()
-		return v.ok, queryInfo{budget: v.budget}, nil
-	}
-	e.mu.Unlock()
-
-	// The directed search runs with an unbounded interpreter: the observed
-	// result may contain more dynamic memory operations per thread (spin
-	// retries) than any enumeration budget, and pruning against the
-	// observation keeps the search tractable regardless.
-	m, err := scmatch.Matches(p, res, scmatch.Config{MaxStates: oracleMatchMaxStates, Cancel: cancel})
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err != nil {
-		if errors.Is(err, scmatch.ErrCanceled) {
-			return false, queryInfo{}, errDeadline
-		}
-		if errors.Is(err, scmatch.ErrBudget) {
-			// Cannot disprove SC appearance within budget: conservatively
-			// treat as appearing SC (no false violations).
-			e.memo[key] = fallbackVerdict{ok: true, budget: true}
-			return true, queryInfo{budget: true}, nil
-		}
-		return false, queryInfo{}, err
-	}
-	if v, seen := e.memo[key]; seen {
-		// A concurrent query searched the same key first; report its
-		// verdict so isomorphic programs agree byte-for-byte.
-		return v.ok, queryInfo{budget: v.budget}, nil
-	}
-	e.memo[key] = fallbackVerdict{ok: m.OK}
-	return m.OK, queryInfo{}, nil
-}
 
 // Run executes a campaign and returns its deterministic summary.
 func Run(cfg CampaignConfig) (*Summary, error) {
@@ -510,7 +332,7 @@ func Run(cfg CampaignConfig) (*Summary, error) {
 			}
 		}
 	}
-	c := &campaign{cfg: cfg, matrix: matrix, oracle: newOracle()}
+	c := &campaign{cfg: cfg, matrix: matrix}
 
 	if cfg.CorpusDir != "" {
 		// Recovery pass before any writes: a crash mid-write in an
@@ -568,7 +390,7 @@ func Run(cfg CampaignConfig) (*Summary, error) {
 	elapsed := time.Since(start).Seconds()
 	hit := 0.0
 	if s.Oracle.Queries > 0 {
-		hit = float64(s.Oracle.EnumHits+s.Oracle.FallbackMemoHits+s.Oracle.L1Hits+s.Oracle.SatDecided) / float64(s.Oracle.Queries)
+		hit = float64(s.Oracle.L1Hits+s.Oracle.SatDecided) / float64(s.Oracle.Queries)
 	}
 	satRate := 0.0
 	if miss := s.Oracle.Queries - s.Oracle.L1Hits; miss > 0 {
@@ -590,10 +412,9 @@ func Run(cfg CampaignConfig) (*Summary, error) {
 
 // summarize folds the per-program outcomes into the campaign Summary.
 // It is a pure function of the outcome slice — every statistic,
-// including the oracle cache's, is attributed to a program rather than
-// observed on shared state — so a resumed campaign that mixes journaled
-// and freshly computed outcomes produces a Summary byte-identical to an
-// uninterrupted run's.
+// including the oracle's, is attributed to a program — so a resumed
+// campaign that mixes journaled and freshly computed outcomes produces a
+// Summary byte-identical to an uninterrupted run's.
 func summarize(cfg CampaignConfig, configs int, outs []progOutcome) *Summary {
 	s := &Summary{
 		Seed:       cfg.Seed,
@@ -606,15 +427,6 @@ func summarize(cfg CampaignConfig, configs int, outs []progOutcome) *Summary {
 	covSims := make(map[CoverageRow]int)
 	covNonSC := make(map[CoverageRow]int)
 	covKeys := make(map[CoverageRow]map[string]bool)
-	// Entry-level oracle events (one enumeration, one fallback search per
-	// distinct result key) are counted once per canonical hash, in
-	// program order — the same totals the shared cache produces live,
-	// reconstructed deterministically.
-	type entryAgg struct {
-		enumerated, incomplete bool
-		searched               map[string]bool
-	}
-	entries := make(map[string]*entryAgg)
 	for _, out := range outs {
 		s.ByClass[out.Class]++
 		s.Sims += len(out.Sims)
@@ -622,18 +434,6 @@ func summarize(cfg CampaignConfig, configs int, outs []progOutcome) *Summary {
 		s.WorkerPanics += out.Panics
 		s.Violations = append(s.Violations, out.Violations...)
 		s.Skips = append(s.Skips, out.Skips...)
-
-		ea := entries[out.CanonHash]
-		if ea == nil {
-			ea = &entryAgg{searched: make(map[string]bool)}
-			entries[out.CanonHash] = ea
-		}
-		if out.Enumerated {
-			ea.enumerated = true
-			if !out.EnumComplete {
-				ea.incomplete = true
-			}
-		}
 		for _, rec := range out.Sims {
 			cell := CoverageRow{Policy: rec.Policy, Class: out.Class}
 			covSims[cell]++
@@ -665,24 +465,11 @@ func summarize(cfg CampaignConfig, configs int, outs []progOutcome) *Summary {
 				} else {
 					s.Oracle.SatRejected++
 				}
-			case rec.Enum:
-				s.Oracle.EnumHits++
-			case ea.searched[rec.CanonKey]:
-				s.Oracle.FallbackMemoHits++
 			default:
-				ea.searched[rec.CanonKey] = true
 				s.Oracle.Fallbacks++
 				if rec.Budget {
 					s.Oracle.BudgetExceeded++
 				}
-			}
-		}
-	}
-	for _, ea := range entries {
-		if ea.enumerated {
-			s.Oracle.Enumerations++
-			if ea.incomplete {
-				s.Oracle.Incomplete++
 			}
 		}
 	}

@@ -8,7 +8,7 @@ import (
 
 // Metrics renders the summary as a telemetry snapshot (see
 // internal/metrics): campaign totals, per-class program counts,
-// per-policy coverage, shrinker effort, and oracle cache behavior. The
+// per-policy coverage, shrinker effort, and oracle stage accounting. The
 // snapshot is derived purely from the deterministic Summary — Perf
 // (wall-clock) numbers are deliberately excluded — so equal campaigns
 // export byte-identical metrics for any worker count.
@@ -56,16 +56,12 @@ func (s *Summary) Metrics() *metrics.Snapshot {
 		r.SetCounter(metrics.Labeled("check.skips_total", "stage", stage), uint64(n))
 	}
 
-	r.SetCounter("oracle.enumerations", uint64(s.Oracle.Enumerations))
-	r.SetCounter("oracle.incomplete", uint64(s.Oracle.Incomplete))
 	r.SetCounter("oracle.queries", uint64(s.Oracle.Queries))
-	r.SetCounter("oracle.enum_hits", uint64(s.Oracle.EnumHits))
 	r.SetCounter("oracle.fallbacks", uint64(s.Oracle.Fallbacks))
-	r.SetCounter("oracle.fallback_memo_hits", uint64(s.Oracle.FallbackMemoHits))
 	r.SetCounter("oracle.budget_exceeded", uint64(s.Oracle.BudgetExceeded))
 
-	// Tier-0 saturation fast path: decisions made without enumeration,
-	// and the reasons ambiguous results were handed to the fallback.
+	// Saturation fast path: decisions made without a search, and the
+	// reasons ambiguous results were handed to the search.
 	r.SetCounter("check.satfast.decided", uint64(s.Oracle.SatDecided))
 	r.SetCounter("check.satfast.accepted", uint64(s.Oracle.SatAccepted))
 	r.SetCounter("check.satfast.rejected", uint64(s.Oracle.SatRejected))

@@ -16,6 +16,26 @@ import (
 	"weakorder/internal/scmatch"
 )
 
+// oracleEnumMaxPaths bounds the reference SC outcome-set enumeration.
+const oracleEnumMaxPaths = 200_000
+
+// oracleEnumConfig configures the whole-program SC outcome-set
+// enumeration that the fast-path and reduction differentials use as a
+// reference. Partial-order reduction is on: only mem.Result keys are
+// consumed, and those are invariant across interleavings that commute
+// non-conflicting operations, so one representative per Mazurkiewicz
+// trace yields the identical outcome set
+// (TestOracleEquivalenceNaiveVsReduced asserts this) while MaxPaths
+// truncates far less often.
+func oracleEnumConfig() ideal.EnumConfig {
+	return ideal.EnumConfig{
+		Interp:        ideal.Config{MaxMemOpsPerThread: oracleMemOpsPerThread},
+		SkipTruncated: true,
+		MaxPaths:      oracleEnumMaxPaths,
+		Reduce:        true,
+	}
+}
+
 // enumOutcomes collects the distinct SC result keys of p under cfg;
 // budget=true marks a blown MaxPaths budget (outcome set incomplete).
 func enumOutcomes(t *testing.T, p *program.Program, cfg ideal.EnumConfig) (out map[string]bool, stats ideal.EnumStats, budget bool) {

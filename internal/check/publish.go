@@ -37,7 +37,6 @@ type Publisher struct {
 	// records (the same flags summarize folds into OracleStats).
 	satDecided    atomic.Int64
 	l1Hits        atomic.Int64
-	enumHits      atomic.Int64
 	fallbacks     atomic.Int64
 	satFallbacks  atomic.Int64
 	skipsOracle   atomic.Int64
@@ -120,8 +119,6 @@ func (p *Publisher) noteProgram(idx int, out progOutcome, resumed bool) {
 			p.l1Hits.Add(1)
 		case rec.Sat:
 			p.satDecided.Add(1)
-		case rec.Enum:
-			p.enumHits.Add(1)
 		default:
 			p.fallbacks.Add(1)
 		}
@@ -165,7 +162,6 @@ type ConfigProgress struct {
 type OracleProgress struct {
 	SatDecided    int64 `json:"satDecided"`
 	L1Hits        int64 `json:"l1Hits"`
-	EnumHits      int64 `json:"enumHits"`
 	Fallbacks     int64 `json:"fallbacks"`
 	SatFallbacks  int64 `json:"satFallbacks"`
 	SkipsOracle   int64 `json:"skipsOracle"`
@@ -216,7 +212,6 @@ func (p *Publisher) Progress() Progress {
 		Oracle: OracleProgress{
 			SatDecided:    p.satDecided.Load(),
 			L1Hits:        p.l1Hits.Load(),
-			EnumHits:      p.enumHits.Load(),
 			Fallbacks:     p.fallbacks.Load(),
 			SatFallbacks:  p.satFallbacks.Load(),
 			SkipsOracle:   p.skipsOracle.Load(),

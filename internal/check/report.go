@@ -166,41 +166,31 @@ type CoverageRow struct {
 	DistinctNonSC int    `json:"distinctNonSC"`
 }
 
-// OracleStats counts the SC-oracle cache's work. All fields are
-// deterministic for a fixed campaign configuration.
+// OracleStats counts how the appears-SC queries were answered. All
+// fields are deterministic for a fixed campaign configuration.
 type OracleStats struct {
 	// Queries is the number of appears-SC decisions requested (including
-	// those absorbed by program-local L1 memos).
+	// those absorbed by program-local L1 memos). Every query is exactly
+	// one of L1Hits, SatDecided, or Fallbacks.
 	Queries int `json:"queries"`
-	// L1Hits counts queries answered by a program-local memo without
-	// touching the shared (striped) cache.
+	// L1Hits counts queries answered by the program-local memo.
 	L1Hits int `json:"l1Hits"`
-	// Enumerations is the number of full outcome enumerations performed
-	// (once per distinct program).
-	Enumerations int `json:"enumerations"`
-	// Incomplete counts enumerations that exceeded their budget and
-	// produced only a partial outcome set.
-	Incomplete int `json:"incomplete"`
-	// EnumHits counts queries answered from an enumerated outcome set.
-	EnumHits int `json:"enumHits"`
-	// Fallbacks counts queries that ran a result-directed search because
-	// the outcome set was incomplete and did not contain the result.
+	// Fallbacks counts queries that ran the result-directed search:
+	// those the fast path handed on, or every non-L1 query when
+	// CampaignConfig.NoSatFast disables the fast path.
 	Fallbacks int `json:"fallbacks"`
-	// FallbackMemoHits counts fallback queries answered from the
-	// per-program result memo without a new search.
-	FallbackMemoHits int `json:"fallbackMemoHits"`
-	// BudgetExceeded counts fallback searches that exceeded MaxStates;
-	// such results are conservatively treated as appearing SC.
+	// BudgetExceeded counts searches that exceeded MaxStates; such
+	// results are conservatively treated as appearing SC.
 	BudgetExceeded int `json:"budgetExceeded"`
-	// SatDecided counts queries the tier-0 polynomial saturation fast
-	// path (internal/sat) decided outright — no enumeration, no search.
-	// It splits into SatAccepted (verified-witness acceptances) and
-	// SatRejected (necessary-edge contradictions). All three are zero
-	// when CampaignConfig.NoSatFast disables the stage.
+	// SatDecided counts queries the polynomial saturation fast path
+	// (internal/sat) decided outright, without a search. It splits into
+	// SatAccepted (verified-witness acceptances) and SatRejected
+	// (necessary-edge contradictions). All three are zero when
+	// CampaignConfig.NoSatFast disables the stage.
 	SatDecided  int `json:"satDecided,omitempty"`
 	SatAccepted int `json:"satAccepted,omitempty"`
 	SatRejected int `json:"satRejected,omitempty"`
-	// SatFallbacks counts queries the fast path handed to enumeration,
+	// SatFallbacks counts queries the fast path handed to the search,
 	// broken down by reason in SatFallbackReasons (ambiguous-rf,
 	// co-incomplete, too-large, ...).
 	SatFallbacks       int            `json:"satFallbacks,omitempty"`
@@ -244,7 +234,7 @@ type Summary struct {
 	// (program index, config name, machine seed). Empty (non-nil) when
 	// the campaign is clean.
 	Violations []ViolationReport `json:"violations"`
-	// Oracle counts the SC-oracle cache's work.
+	// Oracle counts how the appears-SC queries were answered.
 	Oracle OracleStats `json:"oracle"`
 
 	// Perf holds wall-clock throughput; excluded from JSON so summaries
@@ -260,11 +250,10 @@ type Perf struct {
 	ProgramsPerSec float64
 	SimsPerSec     float64
 	// OracleHitRate is the fraction of appears-SC queries answered
-	// without a fresh enumeration or search (L1 memo, enumerated set,
-	// fallback memo, or the saturation fast path).
+	// without a search (L1 memo or the saturation fast path).
 	OracleHitRate float64
 	// SatFastRate is the fraction of L1-missing queries the polynomial
-	// saturation stage decided without enumeration.
+	// saturation stage decided without a search.
 	SatFastRate float64
 }
 

@@ -24,7 +24,6 @@ import (
 type campaign struct {
 	cfg    CampaignConfig
 	matrix []machine.Config
-	oracle *oracle
 
 	// journal, when non-nil, receives every completed program's outcome;
 	// done holds outcomes replayed from a resumed journal, keyed by
@@ -105,11 +104,9 @@ func (c *campaign) progressLine() {
 // payload (journal.go); the JSON encoding must round-trip exactly.
 type simRecord struct {
 	Policy string `json:"policy"`
-	// Key is the observed result's key in the program's own coordinates
-	// (coverage accounting); CanonKey is the same result in canonical
-	// coordinates (oracle accounting, shared across isomorphic programs).
-	Key      string `json:"key"`
-	CanonKey string `json:"canonKey,omitempty"`
+	// Key is the observed result's key: the program-local memo's key and
+	// the coverage table's distinct-outcome identity.
+	Key string `json:"key"`
 	// AppearsSC is the oracle verdict; meaningless when Skipped != "".
 	AppearsSC bool `json:"appearsSC,omitempty"`
 	// Skipped, when non-empty, names why the oracle decision was
@@ -118,15 +115,13 @@ type simRecord struct {
 	Skipped string `json:"skipped,omitempty"`
 	// Oracle accounting, aggregated by summarize: L1 marks a query
 	// absorbed by the program-local memo, Sat one decided by the
-	// polynomial saturation fast path (no enumeration ran), Enum one
-	// answered from the enumerated outcome set, Budget a fallback search
-	// that exceeded its state budget (conservatively SC). SatFallback,
-	// when non-empty, is the fast path's fallback reason for a query that
-	// then went to enumeration/search.
+	// polynomial saturation fast path, and any other query ran the
+	// result-directed search; Budget marks a search that exceeded its
+	// state budget (conservatively SC). SatFallback, when non-empty, is
+	// the fast path's reason for handing the query to the search.
 	L1          bool   `json:"l1,omitempty"`
 	Sat         bool   `json:"sat,omitempty"`
 	SatFallback string `json:"satFallback,omitempty"`
-	Enum        bool   `json:"enum,omitempty"`
 	Budget      bool   `json:"budget,omitempty"`
 }
 
@@ -135,18 +130,10 @@ type simRecord struct {
 // oracle statistics included — from these records alone, which is what
 // makes a journaled outcome exactly substitutable for a recomputed one.
 type progOutcome struct {
-	Class string `json:"class"`
-	// CanonHash is the program's canonical cache key (canon.go); the
-	// summarize aggregation counts entry-level oracle events (one
-	// enumeration, one fallback search per distinct key) once per hash.
-	CanonHash string `json:"canonHash"`
-	// Enumerated marks that this program queried the enumerated outcome
-	// set; EnumComplete whether that set was complete.
-	Enumerated   bool              `json:"enumerated,omitempty"`
-	EnumComplete bool              `json:"enumComplete,omitempty"`
-	Sims         []simRecord       `json:"sims,omitempty"`
-	Violations   []ViolationReport `json:"violations,omitempty"`
-	Watchdogs    int               `json:"watchdogs,omitempty"`
+	Class      string            `json:"class"`
+	Sims       []simRecord       `json:"sims,omitempty"`
+	Violations []ViolationReport `json:"violations,omitempty"`
+	Watchdogs  int               `json:"watchdogs,omitempty"`
 	// Panics counts worker panics recovered while checking this program;
 	// each also appears as a KindWorkerPanic violation.
 	Panics int          `json:"panics,omitempty"`
@@ -219,7 +206,7 @@ func (c *campaign) runPool() ([]progOutcome, error) {
 // deadlineHook returns a fresh cooperative-cancellation hook enforcing
 // cfg.CheckDeadline for one oracle decision, or nil when deadlines are
 // disabled. Each decision gets its own budget; the hook is polled from
-// the ideal/scmatch step loops.
+// the sat/ideal/scmatch step loops.
 func (c *campaign) deadlineHook() func() bool {
 	if c.cfg.CheckDeadline <= 0 {
 		return nil
@@ -231,8 +218,8 @@ func (c *campaign) deadlineHook() func() bool {
 // runProgram generates program idx, classifies it, simulates it across
 // the whole config matrix, and shrinks any violation it finds. A panic
 // anywhere in the per-check work is recovered by checkOne; a panic
-// outside it (generation, canonicalization, classification) is recovered
-// here and reported as a program-level KindWorkerPanic.
+// outside it (generation, classification) is recovered here and
+// reported as a program-level KindWorkerPanic.
 func (c *campaign) runProgram(idx int, ws *workerState) (out progOutcome, err error) {
 	specs := generators()
 	spec := specs[idx%len(specs)]
@@ -275,14 +262,11 @@ func (c *campaign) runProgram(idx int, ws *workerState) (out progOutcome, err er
 	}()
 
 	prog = spec.make(genSeed)
-	cn := canonicalize(prog)
-	entry := c.oracle.entry(cn.hash)
-	out.CanonHash = cn.hash
 
 	class := spec.class
 	if class == "" {
 		var skipped bool
-		class, skipped = entry.classify(prog, c.deadlineHook())
+		class, skipped = c.classify(prog)
 		if skipped {
 			out.Skips = append(out.Skips, SkipRecord{
 				ProgramIndex: idx,
@@ -293,10 +277,10 @@ func (c *campaign) runProgram(idx int, ws *workerState) (out progOutcome, err er
 	}
 	out.Class = class
 
-	// l1 memoizes appears-SC verdicts for this program's own runs: the
-	// matrix × seeds loop observes the same few outcomes over and over,
-	// and a local map answers repeats without the shared entry's lock.
-	l1 := make(map[string]l1Verdict, 8)
+	// l1 memoizes appears-SC verdicts for this program's own runs, keyed
+	// by result key: the matrix × seeds loop observes the same few
+	// outcomes over and over.
+	l1 := make(map[string]bool, 8)
 	for cfgIdx, mcfg := range c.matrix {
 		// Pad the machine to the campaign's processor floor. The padding
 		// depends only on (Procs, program), so the Summary stays
@@ -306,7 +290,7 @@ func (c *campaign) runProgram(idx int, ws *workerState) (out progOutcome, err er
 		}
 		for s := 0; s < c.cfg.SeedsPerConfig; s++ {
 			machineSeed := deriveSeed(c.cfg.Seed, uint64(idx), uint64(cfgIdx), uint64(s), 0x5eed5)
-			panicked, err := c.checkOne(&out, ws, prog, cn, entry, spec, genSeed, idx, cfgIdx, mcfg, machineSeed, l1)
+			panicked, err := c.checkOne(&out, ws, prog, spec, genSeed, idx, cfgIdx, mcfg, machineSeed, l1)
 			if err != nil {
 				return out, err
 			}
@@ -337,14 +321,6 @@ func panicStack(r interface{}, stack []byte) string {
 	return stackGoroutinePat.ReplaceAllString(s, "goroutine N")
 }
 
-// l1Verdict is a program-local memo of one appears-SC decision,
-// including the accounting flags so repeated observations replay the
-// first decision's record exactly.
-type l1Verdict struct {
-	sc   bool
-	info queryInfo
-}
-
 // checkOne runs one (program, config, machine seed) check: simulate,
 // adjudicate against the oracle, shrink and report any violation. A
 // panic anywhere inside is recovered, reported as a shrunk
@@ -352,8 +328,8 @@ type l1Verdict struct {
 // quarantine the (program, config) pair. The worker's pool is replaced
 // after a panic — a half-stepped pooled machine must not be reused.
 func (c *campaign) checkOne(out *progOutcome, ws *workerState, prog *program.Program,
-	cn canon, entry *oracleEntry, spec genSpec, genSeed int64, idx, cfgIdx int,
-	mcfg machine.Config, machineSeed int64, l1 map[string]l1Verdict) (panicked bool, err error) {
+	spec genSpec, genSeed int64, idx, cfgIdx int,
+	mcfg machine.Config, machineSeed int64, l1 map[string]bool) (panicked bool, err error) {
 
 	c.pub.noteSim(cfgIdx)
 	defer func() {
@@ -401,51 +377,19 @@ func (c *campaign) checkOne(out *progOutcome, ws *workerState, prog *program.Pro
 	if c.cfg.Fault != nil {
 		c.cfg.Fault(mcfg, prog, res)
 	}
-	canonKey := cn.key(res.Result)
-	v, hit := l1[canonKey]
-	if hit {
-		out.Sims = append(out.Sims, simRecord{
-			Policy:    mcfg.Policy.String(),
-			Key:       res.Result.Key(),
-			CanonKey:  canonKey,
-			AppearsSC: v.sc,
-			L1:        true,
-		})
-	} else if d := c.satDecide(prog, res.Result); d.Verdict != sat.Fallback {
-		// Tier-0 polynomial fast path: the saturation procedure decided
-		// the observation without enumerating a single interleaving.
-		// Accepted verdicts carry a verified witness order and Rejected
-		// ones a contradiction among necessary happens-before edges, so
-		// the verdict — unlike the search's budget-exceeded answer — is
-		// never conservative, and memoizing it in the L1 keeps repeated
-		// observations off the fast path too.
-		v = l1Verdict{sc: d.Verdict == sat.Accepted, info: queryInfo{sat: true}}
-		l1[canonKey] = v
-		out.Sims = append(out.Sims, simRecord{
-			Policy:    mcfg.Policy.String(),
-			Key:       res.Result.Key(),
-			CanonKey:  canonKey,
-			AppearsSC: v.sc,
-			Sat:       true,
-		})
-	} else {
-		sc, info, oerr := entry.appearsSC(prog, cn, canonKey, res.Result, c.deadlineHook())
-		info.satFallback = d.Reason
-		out.Enumerated = true
-		out.EnumComplete = entry.complete
-		if oerr != nil {
-			if !errors.Is(oerr, errDeadline) {
-				return false, fmt.Errorf("%s on %s: oracle: %w", prog.Name, mcfg.Name(), oerr)
+	// A repeated observation replays the program's memoized verdict;
+	// anything else goes to the oracle.
+	rec := simRecord{Policy: mcfg.Policy.String(), Key: res.Result.Key()}
+	rec.AppearsSC, rec.L1 = l1[rec.Key]
+	if !rec.L1 {
+		if derr := c.decide(prog, res.Result, &rec); derr != nil {
+			if !errors.Is(derr, errDeadline) {
+				return false, fmt.Errorf("%s on %s: oracle: %w", prog.Name, mcfg.Name(), derr)
 			}
-			// Deadline skip: the simulation ran, the verdict did not.
-			// Not memoized — a later identical observation gets a fresh
-			// budget — and not a violation either way.
-			out.Sims = append(out.Sims, simRecord{
-				Policy:   mcfg.Policy.String(),
-				Key:      res.Result.Key(),
-				CanonKey: canonKey,
-				Skipped:  "deadline",
-			})
+			// Deadline skip: the simulation ran, the verdict did not. Not
+			// memoized — a later identical observation gets a fresh budget
+			// — and not a violation either way.
+			out.Sims = append(out.Sims, simRecord{Policy: rec.Policy, Key: rec.Key, Skipped: "deadline"})
 			out.Skips = append(out.Skips, SkipRecord{
 				ProgramIndex: idx,
 				Config:       describeConfig(mcfg),
@@ -458,19 +402,10 @@ func (c *campaign) checkOne(out *progOutcome, ws *workerState, prog *program.Pro
 			}
 			return false, nil
 		}
-		v = l1Verdict{sc: sc, info: info}
-		l1[canonKey] = v
-		out.Sims = append(out.Sims, simRecord{
-			Policy:      mcfg.Policy.String(),
-			Key:         res.Result.Key(),
-			CanonKey:    canonKey,
-			AppearsSC:   v.sc,
-			SatFallback: info.satFallback,
-			Enum:        info.enum,
-			Budget:      info.budget,
-		})
+		l1[rec.Key] = rec.AppearsSC
 	}
-	kind := violationKind(out.Class, mcfg.Policy, v.sc)
+	out.Sims = append(out.Sims, rec)
+	kind := violationKind(out.Class, mcfg.Policy, rec.AppearsSC)
 	if kind == "" {
 		return false, nil
 	}
@@ -486,17 +421,45 @@ func (c *campaign) checkOne(out *progOutcome, ws *workerState, prog *program.Pro
 	return false, nil
 }
 
-// satDecide runs the polynomial appears-SC fast path for one observed
-// result, or reports an empty Fallback when the campaign disables it.
-// The decision is a pure function of (program, result) — no shared
-// cache state — so it cannot perturb the Summary's worker-count
-// invariance; under a per-check deadline it gets its own budget, like
-// every other oracle stage.
-func (c *campaign) satDecide(p *program.Program, res mem.Result) sat.Decision {
-	if c.cfg.NoSatFast {
-		return sat.Decision{}
+// decide answers one appears-SC query for an observed result of p and
+// fills rec's verdict and accounting. The polynomial saturation fast
+// path goes first (unless NoSatFast): its acceptances carry a verified
+// witness order and its rejections a contradiction among necessary
+// happens-before edges, so it is never conservative. Whatever it hands
+// on goes to the result-directed search. Both are pure functions of
+// (program, result), and each gets its own deadline budget.
+func (c *campaign) decide(p *program.Program, res mem.Result, rec *simRecord) error {
+	if !c.cfg.NoSatFast {
+		d := sat.Decide(p, res, sat.Config{MaxEvents: satMaxEvents, Cancel: c.deadlineHook()})
+		if d.Verdict != sat.Fallback {
+			rec.AppearsSC, rec.Sat = d.Verdict == sat.Accepted, true
+			return nil
+		}
+		rec.SatFallback = d.Reason
 	}
-	return sat.Decide(p, res, sat.Config{MaxEvents: satMaxEvents, Cancel: c.deadlineHook()})
+	var err error
+	rec.AppearsSC, rec.Budget, err = c.search(p, res)
+	return err
+}
+
+// search is the result-directed appears-SC search, shared by the
+// campaign's decisions and the shrinker's predicate. The interpreter is
+// unbounded: the observed result may contain any number of dynamic
+// memory operations per thread (spin retries), and pruning against the
+// observation keeps the search tractable regardless. A search that
+// exhausts oracleMatchMaxStates cannot disprove SC appearance and is
+// conservatively answered as appearing SC, with budget set.
+func (c *campaign) search(p *program.Program, res mem.Result) (sc, budget bool, err error) {
+	m, err := scmatch.Matches(p, res, scmatch.Config{MaxStates: oracleMatchMaxStates, Cancel: c.deadlineHook()})
+	switch {
+	case errors.Is(err, scmatch.ErrCanceled):
+		return false, false, errDeadline
+	case errors.Is(err, scmatch.ErrBudget):
+		return true, true, nil
+	case err != nil:
+		return false, false, err
+	}
+	return m.OK, false, nil
 }
 
 // violationKind maps a classification to the oracle it breaks ("" when
@@ -523,25 +486,18 @@ func isWeaklyOrdered(pol policy.Kind) bool {
 	return false
 }
 
-// classify decides whether a generated program obeys DRF0 by bounded
-// exhaustive check; budget (or deadline) overruns conservatively
-// classify as racy — coverage only, no violation oracle — with the
-// second return reporting a deadline skip. The verdict is memoized on
-// the canonical oracle entry — DRF0 is invariant under thread reordering
-// and address renaming, so canonically equal programs share one check.
-func (e *oracleEntry) classify(p *program.Program, cancel func() bool) (string, bool) {
-	e.classOnce.Do(func() {
-		cfg := boundedDRFConfig()
-		cfg.Enum.Cancel = cancel
-		v, err := drf.Check(p, hb.SyncAll, cfg)
-		if err != nil || !v.DRF {
-			e.class = ClassRacy
-			e.classSkipped = err != nil && errors.Is(err, ideal.ErrCanceled)
-			return
-		}
-		e.class = ClassDRF
-	})
-	return e.class, e.classSkipped
+// classify decides whether a program obeys DRF0 by bounded exhaustive
+// check; budget (or deadline) overruns conservatively classify as racy —
+// coverage only, no violation oracle — with the second return reporting
+// a deadline skip.
+func (c *campaign) classify(p *program.Program) (class string, skipped bool) {
+	cfg := boundedDRFConfig()
+	cfg.Enum.Cancel = c.deadlineHook()
+	v, err := drf.Check(p, hb.SyncAll, cfg)
+	if err != nil || !v.DRF {
+		return ClassRacy, errors.Is(err, ideal.ErrCanceled)
+	}
+	return ClassDRF, false
 }
 
 // report shrinks a violating program and assembles its ViolationReport,
@@ -639,10 +595,7 @@ func (c *campaign) violates(kind string, mcfg machine.Config, machineSeed int64,
 	}
 	return func(cand *program.Program) bool {
 		if kind == KindDefinition2 {
-			cfg := boundedDRFConfig()
-			cfg.Enum.Cancel = c.deadlineHook()
-			v, err := drf.Check(cand, hb.SyncAll, cfg)
-			if err != nil || !v.DRF {
+			if class, _ := c.classify(cand); class != ClassDRF {
 				return false
 			}
 		}
@@ -653,14 +606,8 @@ func (c *campaign) violates(kind string, mcfg machine.Config, machineSeed int64,
 		if c.cfg.Fault != nil {
 			c.cfg.Fault(mcfg, cand, res)
 		}
-		m, err := scmatch.Matches(cand, res.Result, scmatch.Config{
-			MaxStates: oracleMatchMaxStates,
-			Cancel:    c.deadlineHook(),
-		})
-		if err != nil {
-			return false
-		}
-		return !m.OK
+		sc, _, err := c.search(cand, res.Result)
+		return err == nil && !sc
 	}
 }
 
