@@ -163,7 +163,7 @@ func main() {
 			condHits++
 		}
 		if s == 0 && *traceFirst {
-			fmt.Println(renderTimeline(res, 0))
+			fmt.Println(trace.Timeline(res.Exec, res.OpCycles, res.FaultEvents, 0))
 		}
 		if s == *seeds-1 {
 			printStats(res)
@@ -238,15 +238,6 @@ func loadProgram(builtin, path string) (*program.Program, error) {
 		return nil, err
 	}
 	return weakorder.ParseProgram(string(src))
-}
-
-// renderTimeline picks the fault-interleaved rendering when the run
-// recorded injector events, the plain one otherwise.
-func renderTimeline(res *weakorder.RunResult, maxRows int) string {
-	if len(res.FaultEvents) > 0 {
-		return trace.TimelineEvents(res.Exec, res.OpCycles, res.FaultEvents, maxRows)
-	}
-	return trace.Timeline(res.Exec, maxRows)
 }
 
 // writeTelemetry emits the last run's metrics snapshot and Chrome

@@ -43,7 +43,11 @@ func TestAxiomVsOperationalOracles(t *testing.T) {
 		}
 	})
 
+	// Each parallel generator subtest records into its own registry
+	// (metrics.Registry is not safe for concurrent use); all are merged
+	// for the disagreement assertion below.
 	specs := generators()
+	specRegs := make([]*metrics.Registry, len(specs))
 	perSpec := 52 // 4 specs x 52 = 208 programs
 	if testing.Short() {
 		perSpec = 6
@@ -55,11 +59,13 @@ func TestAxiomVsOperationalOracles(t *testing.T) {
 	t.Run("generators", func(t *testing.T) {
 		for si, spec := range specs {
 			si, spec := si, spec
+			specReg := metrics.NewRegistry()
+			specRegs[si] = specReg
 			t.Run(spec.name, func(t *testing.T) {
 				t.Parallel()
 				for s := 0; s < perSpec; s++ {
 					p := spec.make(deriveSeed(0xd1ff, uint64(si), uint64(s)))
-					res, err := AxiomDiff(p, AxiomDiffConfig{Metrics: reg})
+					res, err := AxiomDiff(p, AxiomDiffConfig{Metrics: specReg})
 					if err != nil {
 						t.Fatalf("%s/%d: %v", spec.name, s, err)
 					}
@@ -95,7 +101,13 @@ func TestAxiomVsOperationalOracles(t *testing.T) {
 			t.Errorf("too many skipped comparisons: %d of %d compared", compared, progs)
 		}
 	}
-	if got := reg.Snapshot().Counters["axiom.diff.disagree"]; got != 0 {
+	snap := reg.Snapshot()
+	for _, r := range specRegs {
+		if err := snap.Merge(r.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := snap.Counters["axiom.diff.disagree"]; got != 0 {
 		t.Errorf("axiom.diff.disagree = %d, want 0", got)
 	}
 }

@@ -20,14 +20,12 @@
 //
 // Every observed result gets one appears-SC question (Lemma 1), answered
 // per program on one path: a program-local memo answers repeated
-// observations, the polynomial saturation fast path (internal/sat)
-// decides most of the rest, and a budgeted result-directed search
-// (internal/scmatch) answers what the fast path hands on. Workers share
-// no oracle state.
+// observations and scmatch.Decide the rest — the polynomial saturation
+// fast path (internal/sat) first, a budgeted result-directed search for
+// what it hands on. Workers share no oracle state.
 package check
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -43,6 +41,7 @@ import (
 	"weakorder/internal/policy"
 	"weakorder/internal/program"
 	"weakorder/internal/sim"
+	"weakorder/internal/splitmix"
 )
 
 // Program classes.
@@ -274,35 +273,17 @@ func Matrix(policies []policy.Kind, topos []machine.Topology) []machine.Config {
 	return out
 }
 
-// mix64 is splitmix64's finalizer: a cheap, well-distributed hash used
-// to derive independent deterministic seed streams from (Seed, indices).
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
+// deriveSeed derives an independent deterministic seed stream from
+// (campaign, parts), chaining splitmix64 outputs.
 func deriveSeed(campaign int64, parts ...uint64) int64 {
-	x := mix64(uint64(campaign))
+	x := splitmix.New(uint64(campaign)).Next()
 	for _, p := range parts {
-		x = mix64(x ^ p)
+		x = splitmix.New(x ^ p).Next()
 	}
 	return int64(x >> 1) // non-negative
 }
 
 func simTime(v int64) sim.Time { return sim.Time(v) }
-
-// satMaxEvents bounds the saturation fast path's event graph. Campaign
-// results stay far below this; anything larger (deep spin loops) is
-// exactly the regime where the result-directed search's observation
-// pruning shines anyway.
-const satMaxEvents = 2048
-
-// errDeadline marks an oracle decision abandoned on its per-check
-// wall-clock deadline; the caller records a SkipRecord instead of a
-// verdict.
-var errDeadline = errors.New("check: per-check deadline exceeded")
 
 // Run executes a campaign and returns its deterministic summary.
 func Run(cfg CampaignConfig) (*Summary, error) {

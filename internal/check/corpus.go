@@ -342,7 +342,7 @@ func Replay(e CorpusEntry, extraSeeds int) error {
 		if err != nil {
 			return fmt.Errorf("%s (seed %d): %w", e.Name, seed, err)
 		}
-		m, err := scmatch.Matches(e.Prog, res.Result, scmatch.Config{MaxStates: oracleMatchMaxStates})
+		m, err := scmatch.Decide(e.Prog, res.Result, scmatch.Config{MaxStates: oracleMatchMaxStates})
 		if err != nil {
 			return fmt.Errorf("%s (seed %d): scmatch: %w", e.Name, seed, err)
 		}

@@ -15,17 +15,17 @@ import (
 	"weakorder/internal/scmatch"
 )
 
-// satDecideCampaign runs the fast path exactly as checkOne does.
+// satDecideCampaign runs the fast path exactly as scmatch.Decide does.
 func satDecideCampaign(p *program.Program, r mem.Result) sat.Decision {
-	return sat.Decide(p, r, sat.Config{MaxEvents: satMaxEvents})
+	return sat.Decide(p, r, sat.Config{})
 }
 
 // satAgree cross-checks one decided fast-path verdict against the
 // result-directed search in its production configuration — unbounded
 // interpreter, production state budget — the exact oracle the fast path
-// preempts in checkOne. Budget-blown searches yield no reference verdict
-// and are skipped: within its budget the search is exact, so every
-// comparable pair must agree.
+// preempts in scmatch.Decide. Budget-blown searches yield no reference
+// verdict and are skipped: within its budget the search is exact, so
+// every comparable pair must agree.
 func satAgree(t *testing.T, name string, p *program.Program, r mem.Result) {
 	t.Helper()
 	d := satDecideCampaign(p, r)

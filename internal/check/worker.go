@@ -16,7 +16,6 @@ import (
 	"weakorder/internal/mem"
 	"weakorder/internal/policy"
 	"weakorder/internal/program"
-	"weakorder/internal/sat"
 	"weakorder/internal/scmatch"
 )
 
@@ -382,10 +381,14 @@ func (c *campaign) checkOne(out *progOutcome, ws *workerState, prog *program.Pro
 	rec := simRecord{Policy: mcfg.Policy.String(), Key: res.Result.Key()}
 	rec.AppearsSC, rec.L1 = l1[rec.Key]
 	if !rec.L1 {
-		if derr := c.decide(prog, res.Result, &rec); derr != nil {
-			if !errors.Is(derr, errDeadline) {
-				return false, fmt.Errorf("%s on %s: oracle: %w", prog.Name, mcfg.Name(), derr)
-			}
+		m, derr := c.decide(prog, res.Result)
+		rec.Sat, rec.SatFallback = m.Sat, m.SatFallback
+		switch {
+		case errors.Is(derr, scmatch.ErrBudget):
+			// An exhausted search cannot disprove SC appearance: it is
+			// conservatively answered as appearing SC.
+			rec.AppearsSC, rec.Budget = true, true
+		case errors.Is(derr, scmatch.ErrCanceled):
 			// Deadline skip: the simulation ran, the verdict did not. Not
 			// memoized — a later identical observation gets a fresh budget
 			// — and not a violation either way.
@@ -401,6 +404,10 @@ func (c *campaign) checkOne(out *progOutcome, ws *workerState, prog *program.Pro
 				c.cfg.Logf("SKIP deadline: %s on %s (machine seed %d)", prog.Name, mcfg.Name(), machineSeed)
 			}
 			return false, nil
+		case derr != nil:
+			return false, fmt.Errorf("%s on %s: oracle: %w", prog.Name, mcfg.Name(), derr)
+		default:
+			rec.AppearsSC = m.OK
 		}
 		l1[rec.Key] = rec.AppearsSC
 	}
@@ -421,45 +428,19 @@ func (c *campaign) checkOne(out *progOutcome, ws *workerState, prog *program.Pro
 	return false, nil
 }
 
-// decide answers one appears-SC query for an observed result of p and
-// fills rec's verdict and accounting. The polynomial saturation fast
-// path goes first (unless NoSatFast): its acceptances carry a verified
-// witness order and its rejections a contradiction among necessary
-// happens-before edges, so it is never conservative. Whatever it hands
-// on goes to the result-directed search. Both are pure functions of
-// (program, result), and each gets its own deadline budget.
-func (c *campaign) decide(p *program.Program, res mem.Result, rec *simRecord) error {
-	if !c.cfg.NoSatFast {
-		d := sat.Decide(p, res, sat.Config{MaxEvents: satMaxEvents, Cancel: c.deadlineHook()})
-		if d.Verdict != sat.Fallback {
-			rec.AppearsSC, rec.Sat = d.Verdict == sat.Accepted, true
-			return nil
-		}
-		rec.SatFallback = d.Reason
-	}
-	var err error
-	rec.AppearsSC, rec.Budget, err = c.search(p, res)
-	return err
-}
-
-// search is the result-directed appears-SC search, shared by the
-// campaign's decisions and the shrinker's predicate. The interpreter is
+// decide answers one appears-SC query for an observed result of p:
+// scmatch.Decide, or under NoSatFast the search alone — the reference
+// path the golden search-only campaign pins. The interpreter is
 // unbounded: the observed result may contain any number of dynamic
 // memory operations per thread (spin retries), and pruning against the
-// observation keeps the search tractable regardless. A search that
-// exhausts oracleMatchMaxStates cannot disprove SC appearance and is
-// conservatively answered as appearing SC, with budget set.
-func (c *campaign) search(p *program.Program, res mem.Result) (sc, budget bool, err error) {
-	m, err := scmatch.Matches(p, res, scmatch.Config{MaxStates: oracleMatchMaxStates, Cancel: c.deadlineHook()})
-	switch {
-	case errors.Is(err, scmatch.ErrCanceled):
-		return false, false, errDeadline
-	case errors.Is(err, scmatch.ErrBudget):
-		return true, true, nil
-	case err != nil:
-		return false, false, err
+// observation keeps the search tractable regardless. One deadline hook
+// covers the whole decision.
+func (c *campaign) decide(p *program.Program, res mem.Result) (scmatch.Match, error) {
+	cfg := scmatch.Config{MaxStates: oracleMatchMaxStates, Cancel: c.deadlineHook()}
+	if c.cfg.NoSatFast {
+		return scmatch.Matches(p, res, cfg)
 	}
-	return m.OK, false, nil
+	return scmatch.Decide(p, res, cfg)
 }
 
 // violationKind maps a classification to the oracle it breaks ("" when
@@ -606,8 +587,8 @@ func (c *campaign) violates(kind string, mcfg machine.Config, machineSeed int64,
 		if c.cfg.Fault != nil {
 			c.cfg.Fault(mcfg, cand, res)
 		}
-		sc, _, err := c.search(cand, res.Result)
-		return err == nil && !sc
+		m, err := c.decide(cand, res.Result)
+		return err == nil && !m.OK
 	}
 }
 

@@ -517,7 +517,8 @@ func (p *Proc) step() {
 			}
 			return // the fence consumes the cycle even when already drained
 		}
-		if halted := p.execLocal(in); halted {
+		var halted bool
+		if p.pc, halted = in.ExecLocal(&p.regs, p.pc); halted {
 			p.state = stHalted
 			p.stats.DoneAt = uint64(p.k.Now())
 			p.finalRegs = p.regs
@@ -525,58 +526,6 @@ func (p *Proc) step() {
 			return
 		}
 	}
-}
-
-// execLocal mirrors the idealized interpreter's local semantics.
-func (p *Proc) execLocal(in program.Instr) bool {
-	operand2 := func() mem.Value {
-		if in.UseImm {
-			return in.Imm
-		}
-		return p.regs[in.Rt]
-	}
-	switch in.Op {
-	case program.OpNop:
-	case program.OpLoadImm:
-		p.regs[in.Rd] = in.Imm
-	case program.OpMov:
-		p.regs[in.Rd] = p.regs[in.Rs]
-	case program.OpAdd:
-		p.regs[in.Rd] = p.regs[in.Rs] + p.regs[in.Rt]
-	case program.OpAddImm:
-		p.regs[in.Rd] = p.regs[in.Rs] + in.Imm
-	case program.OpSub:
-		p.regs[in.Rd] = p.regs[in.Rs] - p.regs[in.Rt]
-	case program.OpBeq:
-		if p.regs[in.Rs] == operand2() {
-			p.pc = in.Target
-			return false
-		}
-	case program.OpBne:
-		if p.regs[in.Rs] != operand2() {
-			p.pc = in.Target
-			return false
-		}
-	case program.OpBlt:
-		if p.regs[in.Rs] < operand2() {
-			p.pc = in.Target
-			return false
-		}
-	case program.OpBge:
-		if p.regs[in.Rs] >= operand2() {
-			p.pc = in.Target
-			return false
-		}
-	case program.OpJmp:
-		p.pc = in.Target
-		return false
-	case program.OpHalt:
-		return true
-	default:
-		panic(fmt.Sprintf("cpu: non-local opcode %v", in.Op))
-	}
-	p.pc++
-	return false
 }
 
 // opTemplate builds the trace record for the memory instruction at pc.
@@ -594,13 +543,6 @@ func (p *Proc) opTemplate(in program.Instr, kind mem.Kind) mem.Op {
 		p.stats.SyncOps++
 	}
 	return op
-}
-
-func (p *Proc) storeValue(in program.Instr) mem.Value {
-	if in.UseImm {
-		return in.Imm
-	}
-	return p.regs[in.Rs]
 }
 
 // dispatch handles the memory instruction at pc per the policy.
@@ -646,7 +588,7 @@ func (p *Proc) dispatchRead(in program.Instr) {
 }
 
 func (p *Proc) dispatchWrite(in program.Instr) {
-	val := p.storeValue(in)
+	val := in.WriteValue(&p.regs)
 	if p.cfg.Policy.PerAccessGlobal() {
 		op := p.opTemplate(in, mem.Write)
 		op.Data = val
@@ -705,13 +647,7 @@ func (p *Proc) dispatchSync(in program.Instr, kind mem.Kind) {
 func (p *Proc) issueSync(in program.Instr, kind mem.Kind, waitGlobal bool) {
 	op := p.opTemplate(in, kind)
 	p.pc++
-	var data mem.Value
-	switch in.Op {
-	case program.OpTAS:
-		data = 1
-	case program.OpSyncStore, program.OpSwap:
-		data = p.storeValue(in)
-	}
+	data := in.WriteValue(&p.regs)
 	op.Data = data
 	r := p.newReq(reqSync, kind, in.Addr, data, waitGlobal)
 	r.rd = in.Rd

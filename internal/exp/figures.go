@@ -30,10 +30,6 @@ type Figure1Row struct {
 // hardware never does.
 func Figure1(seeds int) ([]Figure1Row, *Table, error) {
 	prog := litmus.Dekker()
-	outcomes, err := scmatch.Outcomes(prog, defaultEnum())
-	if err != nil {
-		return nil, nil, err
-	}
 	var rows []Figure1Row
 	type sys struct {
 		topo   machine.Topology
@@ -60,7 +56,11 @@ func Figure1(seeds int) ([]Figure1Row, *Table, error) {
 					if litmus.DekkerForbidden(res.Result) {
 						row.Violations++
 					}
-					if _, ok := outcomes[res.Result.Key()]; !ok {
+					m, err := scmatch.Decide(prog, res.Result, scmatch.Config{})
+					if err != nil {
+						return nil, nil, fmt.Errorf("figure1 %s: %w", cfg.Name(), err)
+					}
+					if !m.OK {
 						row.NonSC++
 					}
 				}
@@ -176,7 +176,7 @@ func Figure3(seed int64) ([]Figure3Row, *Table, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("figure3 %v: %w", pol, err)
 		}
-		m, err := scmatch.Matches(prog, res.Result, scmatch.Config{})
+		m, err := scmatch.Decide(prog, res.Result, scmatch.Config{})
 		if err != nil {
 			return nil, nil, err
 		}

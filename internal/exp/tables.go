@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"weakorder/internal/gen"
-	"weakorder/internal/ideal"
 	"weakorder/internal/litmus"
 	"weakorder/internal/machine"
 	"weakorder/internal/policy"
@@ -14,14 +13,6 @@ import (
 	"weakorder/internal/stats"
 	"weakorder/internal/workload"
 )
-
-func defaultEnum() ideal.EnumConfig {
-	return ideal.EnumConfig{
-		Interp:        ideal.Config{MaxMemOpsPerThread: 64},
-		SkipTruncated: true,
-		MaxPaths:      5_000_000,
-	}
-}
 
 // Table1Row is one (write latency, policy) cell of the release-cost sweep.
 type Table1Row struct {
@@ -262,7 +253,7 @@ func Table4(programs, seedsPerProgram int) ([]Table4Row, *Table, error) {
 					return nil, nil, fmt.Errorf("table4 %v: %w", pol, err)
 				}
 				row.Runs++
-				m, err := scmatch.Matches(prog, res.Result, scmatch.Config{})
+				m, err := scmatch.Decide(prog, res.Result, scmatch.Config{})
 				if err != nil {
 					return nil, nil, err
 				}
@@ -287,7 +278,7 @@ func Table4(programs, seedsPerProgram int) ([]Table4Row, *Table, error) {
 			if litmus.DekkerForbidden(res.Result) {
 				row.Forbidden++
 			}
-			m, err := scmatch.Matches(dekker, res.Result, scmatch.Config{})
+			m, err := scmatch.Decide(dekker, res.Result, scmatch.Config{})
 			if err != nil {
 				return nil, nil, err
 			}

@@ -214,8 +214,7 @@ func (it *Interp) advance(tid int) error {
 		if in.Op.IsMemory() {
 			return nil
 		}
-		if halted := it.execLocal(ts, in); halted {
-			ts.halted = true
+		if ts.pc, ts.halted = in.ExecLocal(&ts.regs, ts.pc); ts.halted {
 			return nil
 		}
 	}
@@ -261,59 +260,6 @@ func (it *Interp) Step(tid int) (op mem.Op, ok bool, err error) {
 	return op, true, nil
 }
 
-// execLocal executes a non-memory instruction; it reports whether the
-// thread halted.
-func (it *Interp) execLocal(ts *threadState, in program.Instr) bool {
-	operand2 := func() mem.Value {
-		if in.UseImm {
-			return in.Imm
-		}
-		return ts.regs[in.Rt]
-	}
-	switch in.Op {
-	case program.OpNop, program.OpFence: // fences are no-ops under atomic, in-order execution
-	case program.OpLoadImm:
-		ts.regs[in.Rd] = in.Imm
-	case program.OpMov:
-		ts.regs[in.Rd] = ts.regs[in.Rs]
-	case program.OpAdd:
-		ts.regs[in.Rd] = ts.regs[in.Rs] + ts.regs[in.Rt]
-	case program.OpAddImm:
-		ts.regs[in.Rd] = ts.regs[in.Rs] + in.Imm
-	case program.OpSub:
-		ts.regs[in.Rd] = ts.regs[in.Rs] - ts.regs[in.Rt]
-	case program.OpBeq:
-		if ts.regs[in.Rs] == operand2() {
-			ts.pc = in.Target
-			return false
-		}
-	case program.OpBne:
-		if ts.regs[in.Rs] != operand2() {
-			ts.pc = in.Target
-			return false
-		}
-	case program.OpBlt:
-		if ts.regs[in.Rs] < operand2() {
-			ts.pc = in.Target
-			return false
-		}
-	case program.OpBge:
-		if ts.regs[in.Rs] >= operand2() {
-			ts.pc = in.Target
-			return false
-		}
-	case program.OpJmp:
-		ts.pc = in.Target
-		return false
-	case program.OpHalt:
-		return true
-	default:
-		panic(fmt.Sprintf("ideal: non-local opcode %v in execLocal", in.Op))
-	}
-	ts.pc++
-	return false
-}
-
 // execMem atomically executes a memory instruction against the idealized
 // memory and returns the resulting dynamic operation.
 func (it *Interp) execMem(tid int, ts *threadState, in program.Instr) mem.Op {
@@ -323,33 +269,15 @@ func (it *Interp) execMem(tid int, ts *threadState, in program.Instr) mem.Op {
 		Kind:  in.Op.MemKind(),
 		Addr:  in.Addr,
 		Label: in.Sym,
+		Data:  in.WriteValue(&ts.regs),
 	}
 	ts.nextIx++
-	storeVal := func() mem.Value {
-		if in.UseImm {
-			return in.Imm
-		}
-		return ts.regs[in.Rs]
+	if op.Kind.ReadsMemory() {
+		op.Got = it.memory[in.Addr]
+		ts.regs[in.Rd] = op.Got
 	}
-	switch in.Op {
-	case program.OpLoad, program.OpSyncLoad:
-		op.Got = it.memory[in.Addr]
-		ts.regs[in.Rd] = op.Got
-	case program.OpStore, program.OpSyncStore:
-		op.Data = storeVal()
+	if op.Kind.WritesMemory() {
 		it.memory[in.Addr] = op.Data
-	case program.OpTAS:
-		op.Got = it.memory[in.Addr]
-		op.Data = 1
-		ts.regs[in.Rd] = op.Got
-		it.memory[in.Addr] = 1
-	case program.OpSwap:
-		op.Got = it.memory[in.Addr]
-		op.Data = storeVal()
-		ts.regs[in.Rd] = op.Got
-		it.memory[in.Addr] = op.Data
-	default:
-		panic(fmt.Sprintf("ideal: non-memory opcode %v in execMem", in.Op))
 	}
 	return op
 }

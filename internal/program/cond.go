@@ -53,7 +53,7 @@ func (c *Cond) String() string {
 	return "exists " + strings.Join(parts, " & ")
 }
 
-// RegFile is one thread's final register values.
+// RegFile is one thread's register values.
 type RegFile = [NumRegs]mem.Value
 
 // Eval evaluates the condition against final register files (indexed by

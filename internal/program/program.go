@@ -182,6 +182,72 @@ type Instr struct {
 	Target int       // branch target: instruction index within the thread
 }
 
+// ExecLocal executes a register-only instruction against regs and
+// returns the next pc, or halted when the instruction is OpHalt. It is
+// the one definition of local semantics shared by the idealized
+// interpreter, the simulated processor and the saturation replay. Fences
+// are no-ops here: ordering is the caller's concern. It panics on memory
+// opcodes.
+func (in Instr) ExecLocal(regs *RegFile, pc int) (next int, halted bool) {
+	taken := false
+	switch in.Op {
+	case OpNop, OpFence:
+	case OpLoadImm:
+		regs[in.Rd] = in.Imm
+	case OpMov:
+		regs[in.Rd] = regs[in.Rs]
+	case OpAdd:
+		regs[in.Rd] = regs[in.Rs] + regs[in.Rt]
+	case OpAddImm:
+		regs[in.Rd] = regs[in.Rs] + in.Imm
+	case OpSub:
+		regs[in.Rd] = regs[in.Rs] - regs[in.Rt]
+	case OpBeq:
+		taken = regs[in.Rs] == in.operand2(regs)
+	case OpBne:
+		taken = regs[in.Rs] != in.operand2(regs)
+	case OpBlt:
+		taken = regs[in.Rs] < in.operand2(regs)
+	case OpBge:
+		taken = regs[in.Rs] >= in.operand2(regs)
+	case OpJmp:
+		taken = true
+	case OpHalt:
+		return pc, true
+	default:
+		panic(fmt.Sprintf("program: ExecLocal on non-local opcode %v", in.Op))
+	}
+	if taken {
+		return in.Target, false
+	}
+	return pc + 1, false
+}
+
+// WriteValue is the value a memory instruction writes, computed from
+// regs before any read component updates Rd (so swap rN, x, rN writes
+// rN's old contents): 1 for OpTAS, Imm or Rs for stores and swaps, and 0
+// for reads.
+func (in Instr) WriteValue(regs *RegFile) mem.Value {
+	switch in.Op {
+	case OpTAS:
+		return 1
+	case OpStore, OpSyncStore, OpSwap:
+		if in.UseImm {
+			return in.Imm
+		}
+		return regs[in.Rs]
+	}
+	return 0
+}
+
+// operand2 is a branch's second comparand: Imm when UseImm, else Rt.
+func (in Instr) operand2(regs *RegFile) mem.Value {
+	if in.UseImm {
+		return in.Imm
+	}
+	return regs[in.Rt]
+}
+
 // String disassembles the instruction.
 func (in Instr) String() string {
 	loc := in.Sym

@@ -221,3 +221,50 @@ func TestThreadNaming(t *testing.T) {
 		t.Fatalf("thread names = %q, %q", p.Threads[0].Name, p.Threads[1].Name)
 	}
 }
+
+// TestExecLocalAndWriteValue pins the shared instruction semantics the
+// interpreter, the processor and the saturation replay all run.
+func TestExecLocalAndWriteValue(t *testing.T) {
+	var regs RegFile
+	regs[R1], regs[R2] = 5, 7
+	for _, tc := range []struct {
+		in     Instr
+		pc     int
+		next   int
+		halted bool
+	}{
+		{Instr{Op: OpAdd, Rd: R3, Rs: R1, Rt: R2}, 0, 1, false},
+		{Instr{Op: OpFence}, 1, 2, false},
+		{Instr{Op: OpBlt, Rs: R1, Rt: R2, Target: 9}, 2, 9, false},
+		{Instr{Op: OpBeq, Rs: R3, UseImm: true, Imm: 11, Target: 9}, 3, 4, false},
+		{Instr{Op: OpHalt}, 4, 4, true},
+	} {
+		next, halted := tc.in.ExecLocal(&regs, tc.pc)
+		if next != tc.next || halted != tc.halted {
+			t.Errorf("%v at %d: (%d, %v), want (%d, %v)", tc.in, tc.pc, next, halted, tc.next, tc.halted)
+		}
+	}
+	if regs[R3] != 12 {
+		t.Errorf("add: r3 = %d, want 12", regs[R3])
+	}
+	for _, tc := range []struct {
+		in   Instr
+		want mem.Value
+	}{
+		{Instr{Op: OpTAS, Rd: R1}, 1},
+		{Instr{Op: OpSwap, Rd: R1, Rs: R1}, 5}, // the old r1, before the read lands
+		{Instr{Op: OpStore, UseImm: true, Imm: 3}, 3},
+		{Instr{Op: OpSyncStore, Rs: R2}, 7},
+		{Instr{Op: OpLoad, Rd: R2}, 0},
+	} {
+		if got := tc.in.WriteValue(&regs); got != tc.want {
+			t.Errorf("WriteValue(%v) = %d, want %d", tc.in, got, tc.want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("ExecLocal on a memory opcode must panic")
+		}
+	}()
+	Instr{Op: OpLoad}.ExecLocal(&regs, 0)
+}

@@ -1,7 +1,7 @@
 // Package runner executes litmus programs repeatedly on simulated
-// machines and classifies every observed outcome against the exhaustive
-// set of sequentially consistent outcomes — the familiar litmus-tool
-// histogram, with an SC/non-SC mark per outcome.
+// machines and classifies every distinct observed outcome with
+// scmatch.Decide — the familiar litmus-tool histogram, with an SC/non-SC
+// mark per outcome.
 package runner
 
 import (
@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 
-	"weakorder/internal/ideal"
 	"weakorder/internal/machine"
 	"weakorder/internal/mem"
 	"weakorder/internal/program"
@@ -45,27 +44,13 @@ type Config struct {
 	FirstSeed int64
 	// Forbidden optionally classifies each result.
 	Forbidden func(mem.Result) bool
-	// Enum bounds the SC-outcome enumeration (zero value = package
-	// defaults suitable for litmus-size programs).
-	Enum ideal.EnumConfig
 }
 
 // RunOn simulates prog on cfg across seeds and classifies every outcome
-// against the exhaustive SC outcome set.
+// with scmatch.Decide, once per distinct result.
 func RunOn(prog *program.Program, cfg machine.Config, rc Config) (*Report, error) {
 	if rc.Seeds == 0 {
 		rc.Seeds = 20
-	}
-	if rc.Enum.Interp.MaxMemOpsPerThread == 0 {
-		rc.Enum = ideal.EnumConfig{
-			Interp:        ideal.Config{MaxMemOpsPerThread: 16},
-			SkipTruncated: true,
-			MaxPaths:      5_000_000,
-		}
-	}
-	scSet, err := scmatch.Outcomes(prog, rc.Enum)
-	if err != nil {
-		return nil, fmt.Errorf("litmus: enumerating SC outcomes of %s: %w", prog.Name, err)
 	}
 	rep := &Report{
 		Program:   prog.Name,
@@ -81,8 +66,15 @@ func RunOn(prog *program.Program, cfg machine.Config, rc Config) (*Report, error
 		rep.Runs++
 		key := res.Result.Key()
 		rep.Outcomes[key]++
-		_, isSC := scSet[key]
-		rep.SCOutcome[key] = isSC
+		isSC, seen := rep.SCOutcome[key]
+		if !seen {
+			m, err := scmatch.Decide(prog, res.Result, scmatch.Config{})
+			if err != nil {
+				return nil, fmt.Errorf("runner: %s on %s: %w", prog.Name, cfg.Name(), err)
+			}
+			isSC = m.OK
+			rep.SCOutcome[key] = isSC
+		}
 		if !isSC {
 			rep.NonSCRuns++
 		}

@@ -33,10 +33,11 @@
 //
 // Everything in between — a read with several possible writers left at
 // the fixpoint, an unordered write pair, a blown budget — returns
-// Fallback, and the caller keeps its enumeration-based oracle for that
-// residue. The verdicts are therefore sound in both directions: Accepted
-// and Rejected never disagree with exhaustive enumeration
-// (TestSatFastVsEnumeration in internal/check pins this differentially).
+// Fallback, and scmatch.Decide hands that residue to the result-directed
+// search. The verdicts are therefore sound in both directions: Accepted
+// and Rejected never disagree with the exhaustive search
+// (TestDecideAgreesWithSearch in internal/scmatch and
+// TestSatFastVsEnumeration in internal/check pin this differentially).
 package sat
 
 import (
@@ -50,7 +51,7 @@ type Verdict uint8
 
 const (
 	// Fallback: the polynomial procedure could not decide; the caller
-	// must fall back to enumeration. Decision.Reason says why.
+	// must fall back to the search. Decision.Reason says why.
 	Fallback Verdict = iota
 	// Accepted: some SC interleaving reproduces the observed result (a
 	// concrete witness order was constructed and verified).
@@ -124,8 +125,10 @@ type Config struct {
 }
 
 // DefaultMaxEvents bounds the event graph (two bitsets per node, so the
-// worst case is ~2·MaxEvents²/8 bytes of closure state).
-const DefaultMaxEvents = 1024
+// worst case is ~2·MaxEvents²/8 bytes of closure state). Campaign
+// results stay far below it; anything larger (deep spin loops) is the
+// regime where the search's observation pruning does well anyway.
+const DefaultMaxEvents = 2048
 
 // maxLocalSteps bounds register-only instructions between memory
 // operations during replay, mirroring ideal.DefaultMaxLocalSteps.
@@ -180,18 +183,19 @@ func Decide(p *program.Program, res mem.Result, cfg Config) Decision {
 }
 
 // replay reconstructs the per-thread dynamic operation sequences the
-// result dictates. It mirrors the ideal interpreter's semantics exactly
-// (register zero-init, eager local execution, per-thread memory-op
-// indices counting every memory operation) but reads return observed
-// values instead of memory contents. ok is false when replay itself
-// decided (or fell back); the Decision is then meaningful.
+// result dictates. It runs the interpreter's instruction semantics
+// (program.Instr's ExecLocal and WriteValue, register zero-init,
+// per-thread memory-op indices counting every memory operation) but
+// reads return observed values instead of memory contents. ok is false
+// when replay itself decided (or fell back); the Decision is then
+// meaningful.
 func replay(p *program.Program, res mem.Result, cfg Config) ([]event, Decision, bool) {
 	events := make([]event, 1, 16) // slot 0 = init pseudo-write
 	events[0] = event{proc: mem.InitProc, kind: mem.Write}
 	consumed := 0
 	for tid := range p.Threads {
 		instrs := p.Threads[tid].Instrs
-		var regs [program.NumRegs]mem.Value
+		var regs program.RegFile
 		pc, nextIx, steps := 0, 0, 0
 		for {
 			steps++
@@ -207,8 +211,7 @@ func replay(p *program.Program, res mem.Result, cfg Config) ([]event, Decision, 
 			in := instrs[pc]
 			if !in.Op.IsMemory() {
 				var halted bool
-				pc, halted = stepLocal(&regs, in, pc)
-				if halted {
+				if pc, halted = in.ExecLocal(&regs, pc); halted {
 					break
 				}
 				continue
@@ -216,7 +219,9 @@ func replay(p *program.Program, res mem.Result, cfg Config) ([]event, Decision, 
 			if len(events) >= cfg.maxEvents() {
 				return nil, Decision{Verdict: Fallback, Reason: ReasonTooLarge}, false
 			}
-			ev := event{proc: tid, index: nextIx, kind: in.Op.MemKind(), addr: in.Addr}
+			// The write value is taken before the read component updates
+			// Rd, as in the interpreter.
+			ev := event{proc: tid, index: nextIx, kind: in.Op.MemKind(), addr: in.Addr, data: in.WriteValue(&regs)}
 			nextIx++
 			if ev.reads() {
 				obs, ok := res.Reads[mem.OpID{Proc: tid, Index: ev.index}]
@@ -225,21 +230,6 @@ func replay(p *program.Program, res mem.Result, cfg Config) ([]event, Decision, 
 				}
 				consumed++
 				ev.got = obs.Value
-			}
-			if ev.writes() {
-				// Store value before the read component updates Rd (the
-				// interpreter computes Swap's store value the same way, so
-				// swap rN, x, rN writes rN's pre-swap contents).
-				switch in.Op {
-				case program.OpTAS:
-					ev.data = 1
-				default:
-					if in.UseImm {
-						ev.data = in.Imm
-					} else {
-						ev.data = regs[in.Rs]
-					}
-				}
 			}
 			if ev.reads() {
 				regs[in.Rd] = ev.got
@@ -255,51 +245,6 @@ func replay(p *program.Program, res mem.Result, cfg Config) ([]event, Decision, 
 		return nil, Decision{Verdict: Rejected, Reason: ReasonReplay}, false
 	}
 	return events, Decision{}, true
-}
-
-// stepLocal executes one register-only instruction, returning the next
-// pc and whether the thread halted. Semantics mirror ideal.execLocal.
-func stepLocal(regs *[program.NumRegs]mem.Value, in program.Instr, pc int) (int, bool) {
-	operand2 := func() mem.Value {
-		if in.UseImm {
-			return in.Imm
-		}
-		return regs[in.Rt]
-	}
-	switch in.Op {
-	case program.OpNop, program.OpFence:
-	case program.OpLoadImm:
-		regs[in.Rd] = in.Imm
-	case program.OpMov:
-		regs[in.Rd] = regs[in.Rs]
-	case program.OpAdd:
-		regs[in.Rd] = regs[in.Rs] + regs[in.Rt]
-	case program.OpAddImm:
-		regs[in.Rd] = regs[in.Rs] + in.Imm
-	case program.OpSub:
-		regs[in.Rd] = regs[in.Rs] - regs[in.Rt]
-	case program.OpBeq:
-		if regs[in.Rs] == operand2() {
-			return in.Target, false
-		}
-	case program.OpBne:
-		if regs[in.Rs] != operand2() {
-			return in.Target, false
-		}
-	case program.OpBlt:
-		if regs[in.Rs] < operand2() {
-			return in.Target, false
-		}
-	case program.OpBge:
-		if regs[in.Rs] >= operand2() {
-			return in.Target, false
-		}
-	case program.OpJmp:
-		return in.Target, false
-	case program.OpHalt:
-		return pc, true
-	}
-	return pc + 1, false
 }
 
 // saturator holds the event graph and its incremental transitive
@@ -586,7 +531,7 @@ func (s *saturator) applyRFRules(r, w int, a mem.Addr) bool {
 // pair is ordered), builds the smallest-id-first topological order, and
 // replays it on an SC memory against every observation and the final
 // state. Anything unresolved — or a witness that fails verification —
-// falls back to enumeration.
+// falls back to the search.
 func (s *saturator) witness() Decision {
 	fail := func(verdict Verdict, reason string) Decision {
 		return Decision{Verdict: verdict, Reason: reason, Events: len(s.events)}

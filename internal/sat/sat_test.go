@@ -1,14 +1,12 @@
 package sat
 
 import (
-	"errors"
 	"testing"
 
 	"weakorder/internal/ideal"
 	"weakorder/internal/litmus"
 	"weakorder/internal/mem"
 	"weakorder/internal/program"
-	"weakorder/internal/scmatch"
 )
 
 // enumResults collects every distinct SC result of p.
@@ -49,40 +47,6 @@ func TestDecideAcceptsSCOutcomes(t *testing.T) {
 			}
 			if d.Verdict != Accepted {
 				t.Errorf("%s: fell back on %s (%s); litmus shapes should resolve", tc.Name, r.Key(), d.Reason)
-			}
-		}
-	}
-}
-
-// TestDecideAgreesWithSearch perturbs each litmus outcome (one read
-// bumped by +1000 — usually unreachable, occasionally still matched by
-// another interleaving) and cross-checks every decided verdict against
-// the exhaustive result-directed search.
-func TestDecideAgreesWithSearch(t *testing.T) {
-	for _, tc := range litmus.Classic() {
-		for _, r := range enumResults(t, tc.Prog) {
-			bad := mem.Result{Reads: map[mem.OpID]mem.ReadObservation{}, Final: r.Final}
-			for id, obs := range r.Reads {
-				bad.Reads[id] = obs
-			}
-			for id, obs := range bad.Reads { // perturb exactly one read
-				obs.Value += 1000
-				bad.Reads[id] = obs
-				break
-			}
-			d := Decide(tc.Prog, bad, Config{})
-			if d.Verdict == Fallback {
-				continue
-			}
-			m, err := scmatch.Matches(tc.Prog, bad, scmatch.Config{MaxStates: 300_000})
-			if errors.Is(err, scmatch.ErrBudget) {
-				continue
-			}
-			if err != nil {
-				t.Fatalf("%s: scmatch: %v", tc.Name, err)
-			}
-			if (d.Verdict == Accepted) != m.OK {
-				t.Errorf("%s: sat=%s search=%v on %s", tc.Name, d.Verdict, m.OK, bad.Key())
 			}
 		}
 	}

@@ -14,6 +14,11 @@
 // skips interleavings that merely commute non-conflicting operations of
 // an already-searched branch — such interleavings produce the identical
 // result, so they cannot change the verdict.
+//
+// Decide is the verdict-only entry point every checker uses: the
+// polynomial saturation procedure (internal/sat) first, the search only
+// for what it cannot decide. Matches is the search alone, for callers
+// that need a witness execution.
 package scmatch
 
 import (
@@ -24,6 +29,7 @@ import (
 	"weakorder/internal/ideal"
 	"weakorder/internal/mem"
 	"weakorder/internal/program"
+	"weakorder/internal/sat"
 )
 
 // Config bounds the search.
@@ -60,8 +66,8 @@ func (c Config) maxStates() int {
 // ErrBudget reports that the search exceeded MaxStates.
 var ErrBudget = errors.New("scmatch: state budget exceeded")
 
-// ErrCanceled reports that Config.Cancel asked the search to stop.
-var ErrCanceled = errors.New("scmatch: search canceled")
+// ErrCanceled reports that Config.Cancel asked the decision to stop.
+var ErrCanceled = errors.New("scmatch: decision canceled")
 
 // cancelPollMask throttles Config.Cancel polling to every 256 states;
 // the hook typically reads a clock, which is too expensive per state.
@@ -72,14 +78,41 @@ type Match struct {
 	// OK reports whether some sequentially consistent execution produces
 	// the observed result.
 	OK bool
-	// Witness is one such execution when OK.
+	// Witness is one such execution when OK and the search decided;
+	// Decide's saturation verdicts carry none.
 	Witness *mem.Execution
 	// States is the number of interpreter states visited.
 	States int
+	// Sat reports that Decide's saturation stage decided, so no search
+	// ran. SatFallback otherwise names why saturation handed the query
+	// to the search (sat.Decision.Reason); empty from Matches.
+	Sat         bool
+	SatFallback string
+}
+
+// Decide reports whether result r of program p appears sequentially
+// consistent. The saturation procedure answers first: its acceptances
+// carry a verified witness order and its rejections a contradiction
+// among necessary happens-before edges, so it is never conservative.
+// What it hands on goes to Matches. cfg.Cancel covers both stages: a
+// cancel in either returns ErrCanceled; an exhausted search returns
+// ErrBudget.
+func Decide(p *program.Program, r mem.Result, cfg Config) (Match, error) {
+	d := sat.Decide(p, r, sat.Config{Cancel: cfg.Cancel})
+	switch {
+	case d.Verdict != sat.Fallback:
+		return Match{OK: d.Verdict == sat.Accepted, Sat: true}, nil
+	case d.Reason == sat.ReasonCanceled:
+		return Match{SatFallback: d.Reason}, ErrCanceled
+	}
+	m, err := Matches(p, r, cfg)
+	m.SatFallback = d.Reason
+	return m, err
 }
 
 // Matches reports whether result r of program p appears sequentially
-// consistent.
+// consistent by the result-directed search alone; a match carries its
+// witness execution.
 func Matches(p *program.Program, r mem.Result, cfg Config) (Match, error) {
 	s := &searcher{
 		result: r,
@@ -89,11 +122,7 @@ func Matches(p *program.Program, r mem.Result, cfg Config) (Match, error) {
 	}
 	root := ideal.New(p, cfg.Interp)
 	ok, err := s.search(root, 0, 0)
-	m := Match{OK: ok, Witness: s.witness, States: s.states}
-	if err != nil {
-		return m, err
-	}
-	return m, nil
+	return Match{OK: ok, Witness: s.witness, States: s.states}, err
 }
 
 type searcher struct {

@@ -11,7 +11,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"weakorder/internal/faults"
@@ -170,60 +169,15 @@ func summarizeWrites(ws []mem.Op) []string {
 }
 
 // Timeline renders an execution in the paper's figure style: one column
-// per processor, operations in commit order flowing down. Boundary
-// (augmentation) operations are skipped. maxRows truncates long traces
+// per processor, operations in commit order flowing down, a cycle stamp
+// on the left, and the fault injector's DROP/DUP/DELAY/RETRY events (nil
+// when the run had none) as full-width rows between the operations they
+// fell between. opCycles is the commit cycle of each e.Ops entry
+// (machine.RunResult.OpCycles); when its length does not match,
+// operations render without stamps and the events are appended at the
+// end. Boundary (augmentation) operations are skipped. maxRows truncates
 // (0 = unlimited).
-func Timeline(e *mem.Execution, maxRows int) string {
-	procs := e.Procs
-	if procs == 0 {
-		for _, op := range e.Ops {
-			if op.Proc >= procs {
-				procs = op.Proc + 1
-			}
-		}
-	}
-	const colWidth = 14
-	var b strings.Builder
-	for p := 0; p < procs; p++ {
-		fmt.Fprintf(&b, "%-*s", colWidth, fmt.Sprintf("P%d", p))
-	}
-	b.WriteByte('\n')
-	for p := 0; p < procs; p++ {
-		fmt.Fprintf(&b, "%-*s", colWidth, strings.Repeat("-", colWidth-2))
-	}
-	b.WriteByte('\n')
-	rows := 0
-	for _, op := range e.Ops {
-		if op.Proc < 0 || op.Proc >= procs {
-			continue
-		}
-		if maxRows > 0 && rows >= maxRows {
-			fmt.Fprintf(&b, "... (%d more operations)\n", len(e.Ops)-rows)
-			break
-		}
-		rows++
-		cell := cellFor(op)
-		for p := 0; p < procs; p++ {
-			if p == op.Proc {
-				fmt.Fprintf(&b, "%-*s", colWidth, cell)
-			} else {
-				fmt.Fprintf(&b, "%-*s", colWidth, "")
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// TimelineEvents renders the figure-style timeline with the fault
-// injector's DROP/DUP/DELAY/RETRY events interleaved at their cycles: one
-// column per processor, a cycle stamp on the left, and fault events as
-// full-width rows between the operations they fell between. opCycles is
-// the commit cycle of each e.Ops entry (machine.RunResult.OpCycles);
-// when its length does not match, operations render without interleaving
-// and the events are appended at the end. maxRows truncates (0 =
-// unlimited).
-func TimelineEvents(e *mem.Execution, opCycles []uint64, events []faults.Event, maxRows int) string {
+func Timeline(e *mem.Execution, opCycles []uint64, events []faults.Event, maxRows int) string {
 	procs := e.Procs
 	if procs == 0 {
 		for _, op := range e.Ops {
@@ -333,46 +287,4 @@ func cellFor(op mem.Op) string {
 	default:
 		return op.String()
 	}
-}
-
-// Summary aggregates an execution: operation counts by kind and by
-// processor, touched locations.
-type Summary struct {
-	Ops       int
-	ByKind    map[mem.Kind]int
-	ByProc    map[int]int
-	Locations []mem.Addr
-}
-
-// Summarize computes a Summary.
-func Summarize(e *mem.Execution) Summary {
-	s := Summary{ByKind: make(map[mem.Kind]int), ByProc: make(map[int]int)}
-	locs := make(map[mem.Addr]bool)
-	for _, op := range e.Ops {
-		if op.Proc < 0 {
-			continue
-		}
-		s.Ops++
-		s.ByKind[op.Kind]++
-		s.ByProc[op.Proc]++
-		locs[op.Addr] = true
-	}
-	for a := range locs {
-		s.Locations = append(s.Locations, a)
-	}
-	sort.Slice(s.Locations, func(i, j int) bool { return s.Locations[i] < s.Locations[j] })
-	return s
-}
-
-// String renders the summary.
-func (s Summary) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d operations over %d locations;", s.Ops, len(s.Locations))
-	kinds := []mem.Kind{mem.Read, mem.Write, mem.SyncRead, mem.SyncWrite, mem.SyncRMW}
-	for _, k := range kinds {
-		if n := s.ByKind[k]; n > 0 {
-			fmt.Fprintf(&b, " %v=%d", k, n)
-		}
-	}
-	return b.String()
 }

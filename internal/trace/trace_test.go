@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -161,38 +162,24 @@ func TestInvariantsHoldOnAllMachineRuns(t *testing.T) {
 }
 
 func TestTimelineRendering(t *testing.T) {
+	// Nil events: the fault-free rendering of a plain run still carries
+	// the cycle column.
 	res, err := machine.Run(litmus.MessagePassing(), machine.Config{
 		Policy: policy.WODef2, Topology: machine.TopoNetwork, Caches: true,
 	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := Timeline(res.Exec, 0)
-	for _, want := range []string{"P0", "P1", "W(data)=42", "Set(flag)=1", "R(data)->42"} {
+	tl := Timeline(res.Exec, res.OpCycles, nil, 0)
+	for _, want := range []string{"cycle", "P0", "P1", "W(data)=42", "Set(flag)=1", "R(data)->42",
+		fmt.Sprintf("%d", res.OpCycles[len(res.OpCycles)-1])} {
 		if !strings.Contains(tl, want) {
 			t.Errorf("timeline missing %q:\n%s", want, tl)
 		}
 	}
 	// Truncation.
-	short := Timeline(res.Exec, 2)
-	if !strings.Contains(short, "more operations") {
+	if short := Timeline(res.Exec, res.OpCycles, nil, 2); !strings.Contains(short, "truncated") {
 		t.Error("truncated timeline must say so")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	res, err := machine.Run(litmus.CriticalSection(2, 2), machine.Config{
-		Policy: policy.WODef2, Topology: machine.TopoNetwork, Caches: true,
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Summarize(res.Exec)
-	if s.Ops == 0 || s.ByKind[mem.SyncRMW] == 0 || len(s.Locations) != 2 {
-		t.Errorf("summary %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("empty summary string")
 	}
 }
 
@@ -208,7 +195,7 @@ func TestTimelineEventsInterleaving(t *testing.T) {
 	if len(res.FaultEvents) == 0 {
 		t.Fatal("severe plan recorded no fault events; test is vacuous")
 	}
-	tl := TimelineEvents(res.Exec, res.OpCycles, res.FaultEvents, 0)
+	tl := Timeline(res.Exec, res.OpCycles, res.FaultEvents, 0)
 	if !strings.Contains(tl, "cycle") {
 		t.Errorf("timeline missing cycle column header:\n%s", tl)
 	}
@@ -232,12 +219,12 @@ func TestTimelineEventsInterleaving(t *testing.T) {
 		t.Errorf("first fault event not interleaved before the final op:\n%s", tl)
 	}
 	// Mismatched opCycles falls back to appending events at the end.
-	fallback := TimelineEvents(res.Exec, nil, res.FaultEvents, 0)
+	fallback := Timeline(res.Exec, nil, res.FaultEvents, 0)
 	if !strings.Contains(fallback, res.FaultEvents[0].Kind.String()) {
 		t.Error("fallback rendering lost the fault events")
 	}
 	// Truncation.
-	short := TimelineEvents(res.Exec, res.OpCycles, res.FaultEvents, 2)
+	short := Timeline(res.Exec, res.OpCycles, res.FaultEvents, 2)
 	if !strings.Contains(short, "truncated") {
 		t.Error("truncated timeline must say so")
 	}
