@@ -321,16 +321,11 @@ func parseTopos(s string) ([]machine.Topology, error) {
 	}
 	var out []machine.Topology
 	for _, name := range strings.Split(s, ",") {
-		switch strings.TrimSpace(name) {
-		case "bus":
-			out = append(out, machine.TopoBus)
-		case "network":
-			out = append(out, machine.TopoNetwork)
-		case "mesh":
-			out = append(out, machine.TopoMesh)
-		default:
-			return nil, fmt.Errorf("unknown topology %q (want bus, network, or mesh)", name)
+		topo, err := machine.ParseTopology(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, topo)
 	}
 	return out, nil
 }

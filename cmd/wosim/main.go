@@ -97,15 +97,8 @@ func main() {
 		Metrics:  *metricsOut != "",
 		Timeline: *timelineOut != "",
 	}
-	switch *topo {
-	case "bus":
-		cfg.Topology = weakorder.Bus
-	case "network":
-		cfg.Topology = weakorder.Network
-	case "mesh":
-		cfg.Topology = weakorder.Mesh
-	default:
-		fatalUsage(fmt.Errorf("unknown topology %q (want bus, network, or mesh)", *topo))
+	if cfg.Topology, err = machine.ParseTopology(*topo); err != nil {
+		fatalUsage(err)
 	}
 	if *procs < 0 {
 		fatalUsage(fmt.Errorf("-procs must be non-negative, got %d", *procs))

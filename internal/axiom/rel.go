@@ -262,9 +262,9 @@ func (r *Rel) String() string {
 
 // relArena recycles Rel matrices and event-set bitsets of one fixed
 // universe size for the duration of one evaluation or enumeration — the
-// axiom engine's analogue of ideal.Arena. Constraint evaluation runs at
-// every node of the rf/co search tree, so its temporaries must not hit
-// the allocator.
+// axiom engine's analogue of ideal's interpreter arena. Constraint
+// evaluation runs at every node of the rf/co search tree, so its
+// temporaries must not hit the allocator.
 type relArena struct {
 	n    int
 	rels []*Rel

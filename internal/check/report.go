@@ -73,16 +73,9 @@ func (d ConfigDesc) Machine() (machine.Config, error) {
 	if err != nil {
 		return machine.Config{}, err
 	}
-	var topo machine.Topology
-	switch d.Topology {
-	case machine.TopoBus.String():
-		topo = machine.TopoBus
-	case machine.TopoNetwork.String():
-		topo = machine.TopoNetwork
-	case machine.TopoMesh.String():
-		topo = machine.TopoMesh
-	default:
-		return machine.Config{}, fmt.Errorf("check: unknown topology %q", d.Topology)
+	topo, err := machine.ParseTopology(d.Topology)
+	if err != nil {
+		return machine.Config{}, err
 	}
 	dirMode, err := cache.ParseDirMode(d.DirMode)
 	if err != nil {

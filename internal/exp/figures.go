@@ -9,6 +9,7 @@ import (
 	"weakorder/internal/machine"
 	"weakorder/internal/mem"
 	"weakorder/internal/policy"
+	"weakorder/internal/runner"
 	"weakorder/internal/scmatch"
 	"weakorder/internal/vclock"
 	"weakorder/internal/workload"
@@ -44,28 +45,13 @@ func Figure1(seeds int) ([]Figure1Row, *Table, error) {
 		{machine.TopoNetwork, true, false},
 	}
 	for _, sy := range systems {
-		{
-			for _, pol := range []policy.Kind{policy.Unconstrained, policy.SC} {
-				cfg := machine.Config{Policy: pol, Topology: sy.topo, Caches: sy.caches, Snoop: sy.snoop, NetJitter: 20}
-				row := Figure1Row{Config: cfg, Runs: seeds}
-				for seed := 0; seed < seeds; seed++ {
-					res, err := machine.Run(prog, cfg, int64(seed))
-					if err != nil {
-						return nil, nil, fmt.Errorf("figure1 %s: %w", cfg.Name(), err)
-					}
-					if litmus.DekkerForbidden(res.Result) {
-						row.Violations++
-					}
-					m, err := scmatch.Decide(prog, res.Result, scmatch.Config{})
-					if err != nil {
-						return nil, nil, fmt.Errorf("figure1 %s: %w", cfg.Name(), err)
-					}
-					if !m.OK {
-						row.NonSC++
-					}
-				}
-				rows = append(rows, row)
+		for _, pol := range []policy.Kind{policy.Unconstrained, policy.SC} {
+			cfg := machine.Config{Policy: pol, Topology: sy.topo, Caches: sy.caches, Snoop: sy.snoop, NetJitter: 20}
+			rep, err := runner.RunOn(prog, cfg, runner.Config{Seeds: seeds, Forbidden: litmus.DekkerForbidden})
+			if err != nil {
+				return nil, nil, fmt.Errorf("figure1 %s: %w", cfg.Name(), err)
 			}
+			rows = append(rows, Figure1Row{Config: cfg, Runs: rep.Runs, Violations: rep.ForbiddenRuns, NonSC: rep.NonSCRuns})
 		}
 	}
 

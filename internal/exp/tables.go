@@ -8,6 +8,7 @@ import (
 	"weakorder/internal/machine"
 	"weakorder/internal/policy"
 	"weakorder/internal/program"
+	"weakorder/internal/runner"
 	"weakorder/internal/scmatch"
 	"weakorder/internal/sim"
 	"weakorder/internal/stats"
@@ -267,26 +268,17 @@ func Table4(programs, seedsPerProgram int) ([]Table4Row, *Table, error) {
 
 	dekker := litmus.Dekker()
 	for _, pol := range policies {
-		row := Table4Row{Class: "racy Dekker", Policy: pol}
-		for s := 0; s < programs*seedsPerProgram; s++ {
-			cfg := machine.Config{Policy: pol, Topology: machine.TopoNetwork, Caches: true, NetJitter: 20}
-			res, err := machine.Run(dekker, cfg, int64(s))
-			if err != nil {
-				return nil, nil, err
-			}
-			row.Runs++
-			if litmus.DekkerForbidden(res.Result) {
-				row.Forbidden++
-			}
-			m, err := scmatch.Decide(dekker, res.Result, scmatch.Config{})
-			if err != nil {
-				return nil, nil, err
-			}
-			if m.OK {
-				row.AppearsSC++
-			}
+		cfg := machine.Config{Policy: pol, Topology: machine.TopoNetwork, Caches: true, NetJitter: 20}
+		rep, err := runner.RunOn(dekker, cfg, runner.Config{
+			Seeds: programs * seedsPerProgram, Forbidden: litmus.DekkerForbidden,
+		})
+		if err != nil {
+			return nil, nil, err
 		}
-		rows = append(rows, row)
+		rows = append(rows, Table4Row{
+			Class: "racy Dekker", Policy: pol,
+			Runs: rep.Runs, AppearsSC: rep.Runs - rep.NonSCRuns, Forbidden: rep.ForbiddenRuns,
+		})
 	}
 
 	t := &Table{

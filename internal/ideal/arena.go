@@ -1,20 +1,19 @@
 package ideal
 
-// Arena recycles interpreter clones and scratch slices within one
-// enumeration or search. The interleaving explorers clone the
-// interpreter once per step and retire the clone as soon as its subtree
-// is finished; routing clones through an arena makes the hot loop
-// allocation-free after warm-up (the steady state holds one retired
-// interpreter per tree level). An Arena is not goroutine-safe — use one
-// per search, which is what Enumerate and scmatch do internally.
-type Arena struct {
+// arena recycles interpreter clones and scratch slices within one
+// enumeration. The interleaving walkers clone the interpreter once per
+// step and retire the clone as soon as its subtree is finished; routing
+// clones through an arena makes the hot loop allocation-free after
+// warm-up (the steady state holds one retired interpreter per tree
+// level). An arena is not goroutine-safe; Enumerate uses one per call.
+type arena struct {
 	interps []*Interp
-	ints    [][]int
+	scratch [][]int
 }
 
-// Clone copies it exactly like Interp.Clone, reusing storage retired by
-// Release when available.
-func (ar *Arena) Clone(it *Interp) *Interp {
+// clone copies it exactly like Interp.Clone, reusing storage retired by
+// release when available.
+func (ar *arena) clone(it *Interp) *Interp {
 	n := len(ar.interps) - 1
 	if n < 0 {
 		return it.Clone()
@@ -26,30 +25,30 @@ func (ar *Arena) Clone(it *Interp) *Interp {
 	return out
 }
 
-// Release retires an interpreter's storage for reuse by a later Clone.
+// release retires an interpreter's storage for reuse by a later clone.
 // The caller must not touch it afterwards.
-func (ar *Arena) Release(it *Interp) {
+func (ar *arena) release(it *Interp) {
 	if it != nil {
 		ar.interps = append(ar.interps, it)
 	}
 }
 
-// Ints returns an empty integer scratch slice, reusing storage retired
-// by ReleaseInts when available.
-func (ar *Arena) Ints() []int {
-	n := len(ar.ints) - 1
+// ints returns an empty integer scratch slice, reusing storage retired
+// by releaseInts when available.
+func (ar *arena) ints() []int {
+	n := len(ar.scratch) - 1
 	if n < 0 {
 		return nil
 	}
-	out := ar.ints[n]
-	ar.ints[n] = nil
-	ar.ints = ar.ints[:n]
+	out := ar.scratch[n]
+	ar.scratch[n] = nil
+	ar.scratch = ar.scratch[:n]
 	return out[:0]
 }
 
-// ReleaseInts retires an integer scratch slice obtained from Ints.
-func (ar *Arena) ReleaseInts(s []int) {
+// releaseInts retires an integer scratch slice obtained from ints.
+func (ar *arena) releaseInts(s []int) {
 	if cap(s) > 0 {
-		ar.ints = append(ar.ints, s)
+		ar.scratch = append(ar.scratch, s)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"weakorder/internal/mem"
 	"weakorder/internal/program"
 )
 
@@ -48,6 +49,17 @@ type EnumConfig struct {
 	// sync order (race detection) need this; pure outcome enumeration
 	// does not. Only meaningful with Reduce.
 	PreserveSyncOrder bool
+	// Observed, when non-nil, restricts the walk to executions whose
+	// every read returns its observed value: a step whose read is
+	// missing from Observed, or returns another address or value, is
+	// dropped, and so is every interleaving through it. Dropped steps
+	// are not counted in Steps, so MaxPaths bounds the steps taken.
+	// Under Reduce the dropped thread sleeps for the remaining siblings:
+	// its pending read returns the same value there until a conflicting
+	// write wakes it. This is Lemma 1's question — does some idealized
+	// execution produce the observed reads? — asked of the enumerator;
+	// the visitor compares the final memory.
+	Observed map[mem.OpID]mem.ReadObservation
 }
 
 // ErrBudget reports that enumeration exceeded its execution or path budget.
@@ -66,6 +78,16 @@ func (cfg *EnumConfig) canceled(steps int) bool {
 	return cfg.Cancel != nil && steps&cancelPollMask == 0 && cfg.Cancel()
 }
 
+// contradicts reports whether op's read component disagrees with
+// cfg.Observed.
+func (cfg *EnumConfig) contradicts(op mem.Op) bool {
+	if cfg.Observed == nil || !op.HasReadComponent() {
+		return false
+	}
+	obs, ok := cfg.Observed[op.ID()]
+	return !ok || obs.Addr != op.Addr || obs.Value != op.Got
+}
+
 // ErrStop is returned by a visitor to stop enumeration early without error.
 var ErrStop = errors.New("ideal: stop enumeration")
 
@@ -75,7 +97,8 @@ type EnumStats struct {
 	Executions int
 	// Truncated is the number of abandoned (budget-exceeded) paths.
 	Truncated int
-	// Steps is the total number of Step calls performed.
+	// Steps is the total number of Step calls performed, less those
+	// dropped by EnumConfig.Observed.
 	Steps int
 	// SleepPruned counts branches skipped by the sleep-set reduction
 	// (zero unless EnumConfig.Reduce).
@@ -94,12 +117,13 @@ type Visitor func(*Interp) error
 // granularity, invoking visit once per complete execution. With
 // cfg.Reduce it instead visits at least one representative per
 // conflict-equivalence class of complete executions (see
-// EnumConfig.Reduce). The Interp passed to visit is owned by the
-// enumerator and must not be retained; call Execution on it to
-// snapshot.
+// EnumConfig.Reduce); with cfg.Observed it keeps only the executions
+// whose reads match the observation. The Interp passed to visit is
+// owned by the enumerator and must not be retained; call Execution on
+// it to snapshot.
 func Enumerate(p *program.Program, cfg EnumConfig, visit Visitor) (EnumStats, error) {
 	var stats EnumStats
-	var ar Arena
+	var ar arena
 	root := New(p, cfg.Interp)
 	var err error
 	if cfg.Reduce && p.NumThreads() <= maxReduceThreads {
@@ -114,7 +138,7 @@ func Enumerate(p *program.Program, cfg EnumConfig, visit Visitor) (EnumStats, er
 	return stats, err
 }
 
-func enumerate(it *Interp, cfg EnumConfig, stats *EnumStats, ar *Arena, visit Visitor) error {
+func enumerate(it *Interp, cfg EnumConfig, stats *EnumStats, ar *arena, visit Visitor) error {
 	if cfg.MaxPaths > 0 && stats.Steps > cfg.MaxPaths {
 		return ErrBudget
 	}
@@ -128,30 +152,34 @@ func enumerate(it *Interp, cfg EnumConfig, stats *EnumStats, ar *Arena, visit Vi
 		}
 		return visit(it)
 	}
-	run := it.RunnableInto(ar.Ints())
+	run := it.RunnableInto(ar.ints())
 	for _, tid := range run {
-		child := ar.Clone(it)
+		child := ar.clone(it)
+		op, ok, err := child.Step(tid)
+		if err == nil && ok && cfg.contradicts(op) {
+			ar.release(child)
+			continue
+		}
 		stats.Steps++
-		_, _, err := child.Step(tid)
 		switch {
 		case errors.Is(err, ErrTruncated):
-			ar.Release(child)
+			ar.release(child)
 			stats.Truncated++
 			if cfg.SkipTruncated {
 				continue
 			}
 			return ErrTruncated
 		case err != nil:
-			ar.Release(child)
+			ar.release(child)
 			return err
 		}
 		err = enumerate(child, cfg, stats, ar, visit)
-		ar.Release(child)
+		ar.release(child)
 		if err != nil {
 			return err
 		}
 	}
-	ar.ReleaseInts(run)
+	ar.releaseInts(run)
 	return nil
 }
 

@@ -67,7 +67,7 @@ type threadState struct {
 
 // Interp interprets one program on the idealized architecture. The zero
 // value is not usable; construct with New. Interp values are cheap to
-// Clone, which the enumerator and the SC-matching search exploit.
+// Clone, which the enumerator exploits.
 type Interp struct {
 	prog    *program.Program
 	cfg     Config
@@ -108,7 +108,8 @@ func (it *Interp) Clone() *Interp {
 		cfg:     it.cfg,
 		threads: make([]threadState, len(it.threads)),
 		memory:  make(map[mem.Addr]mem.Value, len(it.memory)),
-		trace:   make([]mem.Op, len(it.trace)),
+		// One spare slot: the clone's next Step appends to the trace.
+		trace: make([]mem.Op, len(it.trace), len(it.trace)+1),
 	}
 	copy(out.threads, it.threads)
 	copy(out.trace, it.trace)
@@ -120,7 +121,7 @@ func (it *Interp) Clone() *Interp {
 
 // copyFrom overwrites it with src's state, reusing it's existing
 // storage. Equivalent to Clone from the caller's perspective; this is
-// what lets Arena.Clone recycle retired interpreters.
+// what lets arena.clone recycle retired interpreters.
 func (it *Interp) copyFrom(src *Interp) {
 	it.prog = src.prog
 	it.cfg = src.cfg
@@ -310,19 +311,14 @@ func (it *Interp) EvalCond(c *program.Cond) bool {
 	return c.Eval(regs, it.memory)
 }
 
-// StateKey returns a canonical fingerprint of the interpreter's full state
-// (thread contexts plus memory), excluding the trace. Two interpreters
-// with equal StateKeys have identical sets of possible futures, which
-// makes the key sound for memoizing reachability searches. The encoding
-// is compact binary (varints), not human-readable — StateKey exists to
-// be a map key, and memoized searches build millions of them.
-func (it *Interp) StateKey() string {
-	return string(it.AppendStateKey(make([]byte, 0, 16*len(it.threads)+8*len(it.memory))))
-}
-
-// AppendStateKey appends the StateKey encoding to buf and returns the
-// result. Searches that key a memo map can look up with
-// string(AppendStateKey(scratch[:0])) without allocating on hits.
+// AppendStateKey appends a canonical fingerprint of the interpreter's
+// full state (thread contexts plus memory, excluding the trace) to buf
+// and returns the result. Two interpreters with equal keys have
+// identical sets of possible futures, which makes the key sound for
+// memoizing reachability searches. The encoding is compact binary
+// (varints), not human-readable: the key exists to index a memo map,
+// which a search can probe with string(AppendStateKey(scratch[:0]))
+// without allocating.
 func (it *Interp) AppendStateKey(buf []byte) []byte {
 	for i := range it.threads {
 		ts := &it.threads[i]

@@ -24,10 +24,11 @@ import (
 //     operation executes.
 //   - Memoization: a state reached twice with the same pending read
 //     observations has the same set of future results. States are
-//     keyed by Interp.StateKey plus each thread's read-value history
-//     (two paths to one StateKey can observe different read values,
-//     which the key's registers alone do not distinguish), and a
-//     revisit is skipped only when a previous visit's sleep set was a
+//     keyed by Interp.AppendStateKey plus each thread's read-value
+//     history (two paths to one state key can observe different read
+//     values, which the key's registers alone do not distinguish; under
+//     EnumConfig.Observed they cannot, so the history is left out), and
+//     a revisit is skipped only when a previous visit's sleep set was a
 //     subset of the current one — otherwise the earlier visit explored
 //     strictly fewer first-steps and the state must be re-expanded.
 //
@@ -51,7 +52,7 @@ type reducer struct {
 	// ar recycles per-step interpreter clones and runnable scratch;
 	// keyBuf is memoKey's build buffer (safe to share across levels
 	// because the memo is read and written before any recursion).
-	ar     *Arena
+	ar     *arena
 	keyBuf []byte
 }
 
@@ -73,7 +74,8 @@ func (r *reducer) explore(it *Interp, sleep uint64, reads [][]byte) error {
 		return r.visit(it)
 	}
 	key := r.memoKey(it, reads)
-	for _, m := range r.memo[string(key)] {
+	visits := r.memo[string(key)]
+	for _, m := range visits {
 		if m&^sleep == 0 {
 			r.stats.MemoHits++
 			return nil
@@ -82,20 +84,27 @@ func (r *reducer) explore(it *Interp, sleep uint64, reads [][]byte) error {
 	// Mark on entry: the interleaving graph is acyclic (every step
 	// lengthens the trace), so a state can never re-reach itself and a
 	// revisit only happens after this call completes.
-	r.memo[string(key)] = append(r.memo[string(key)], sleep)
-	run := it.RunnableInto(r.ar.Ints())
+	r.memo[string(key)] = append(visits, sleep)
+	run := it.RunnableInto(r.ar.ints())
 	for _, tid := range run {
 		bit := uint64(1) << uint(tid)
 		if sleep&bit != 0 {
 			r.stats.SleepPruned++
 			continue
 		}
-		child := r.ar.Clone(it)
-		r.stats.Steps++
+		child := r.ar.clone(it)
 		op, ok, err := child.Step(tid)
+		if err == nil && ok && r.cfg.contradicts(op) {
+			// Until a conflicting write wakes tid, its pending read
+			// returns the same contradicting value in every sibling.
+			r.ar.release(child)
+			sleep |= bit
+			continue
+		}
+		r.stats.Steps++
 		switch {
 		case errors.Is(err, ErrTruncated):
-			r.ar.Release(child)
+			r.ar.release(child)
 			r.stats.Truncated++
 			if r.cfg.SkipTruncated {
 				// tid's budget is exhausted in every state of this
@@ -107,19 +116,19 @@ func (r *reducer) explore(it *Interp, sleep uint64, reads [][]byte) error {
 			}
 			return ErrTruncated
 		case err != nil:
-			r.ar.Release(child)
+			r.ar.release(child)
 			return err
 		}
 		childSleep := sleep
 		childReads := reads
 		if ok {
 			childSleep = r.filterSleep(it, sleep, op)
-			if op.HasReadComponent() {
+			if op.HasReadComponent() && r.cfg.Observed == nil {
 				childReads = appendRead(reads, tid, op.Got)
 			}
 		}
 		err = r.explore(child, childSleep, childReads)
-		r.ar.Release(child)
+		r.ar.release(child)
 		if err != nil {
 			return err
 		}
@@ -128,7 +137,7 @@ func (r *reducer) explore(it *Interp, sleep uint64, reads [][]byte) error {
 		// dependent operation wakes it.
 		sleep |= bit
 	}
-	r.ar.ReleaseInts(run)
+	r.ar.releaseInts(run)
 	return nil
 }
 

@@ -52,6 +52,16 @@ func (t Topology) String() string {
 	}
 }
 
+// ParseTopology returns the topology named s (the String form).
+func ParseTopology(s string) (Topology, error) {
+	for _, t := range []Topology{TopoBus, TopoNetwork, TopoMesh} {
+		if t.String() == s {
+			return t, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown topology %q (want bus, network, or mesh)", s)
+}
+
 // Config parameterizes a machine.
 type Config struct {
 	// Policy selects the consistency enforcement rules.

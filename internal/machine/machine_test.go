@@ -27,6 +27,20 @@ func allConfigs() []Config {
 	return out
 }
 
+// ParseTopology inverts String for every topology and names the
+// choices when it rejects a spelling.
+func TestParseTopology(t *testing.T) {
+	for _, topo := range []Topology{TopoBus, TopoNetwork, TopoMesh} {
+		if got, err := ParseTopology(topo.String()); err != nil || got != topo {
+			t.Errorf("ParseTopology(%q) = %v, %v", topo, got, err)
+		}
+	}
+	_, err := ParseTopology("ring")
+	if err == nil || err.Error() != `unknown topology "ring" (want bus, network, or mesh)` {
+		t.Errorf("ParseTopology(ring) error = %v", err)
+	}
+}
+
 func mustRun(t *testing.T, p *program.Program, cfg Config, seed int64) *RunResult {
 	t.Helper()
 	res, err := Run(p, cfg, seed)

@@ -23,9 +23,9 @@ import (
 // change latencies.
 func drfWorkloads() []*program.Program {
 	return []*program.Program{
-		workload.CriticalSection(4, 2),
-		workload.TestAndTAS(3, 2),
-		workload.Barrier(4),
+		litmus.CriticalSection(4, 2),
+		litmus.TestAndTAS(3, 2),
+		litmus.Barrier(4),
 		workload.ProducerConsumer(2, 2),
 		workload.DataPerSync(3, 2, 2),
 		workload.Fig3Scaled(6),
@@ -151,6 +151,25 @@ func TestDirModeOverflowGeneratedAppearsSC(t *testing.T) {
 				t.Errorf("%s/%s: DRF0 program did not appear SC under overflowing directory", p.Name, mode.name)
 			}
 		}
+	}
+}
+
+// A 72-thread program is past the 64-thread limit of ideal's sleep-set
+// reduction, so the search takes the naive observation-filtered walk:
+// the DRF0 Figure 3 scenario on the Section 5.3 machine must still be
+// found to appear SC, within the default budget.
+func TestMatchesPastSleepSetLimit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("72-thread naive search")
+	}
+	p := workload.Fig3Scaled(72)
+	res := mustRun(t, p, Config{Policy: policy.WODef2, Topology: TopoMesh, Caches: true}, 1)
+	m, err := scmatch.Matches(p, res.Result, scmatch.Config{})
+	if err != nil {
+		t.Fatalf("%s: scmatch: %v", p.Name, err)
+	}
+	if !m.OK {
+		t.Errorf("%s: DRF0 program did not appear SC on WO-Def2 (%d states)", p.Name, m.States)
 	}
 }
 

@@ -1,6 +1,8 @@
 package scmatch
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"weakorder/internal/ideal"
@@ -175,6 +177,40 @@ func TestStateBudget(t *testing.T) {
 	r := mem.ResultOf(mustRun(t, p, 1))
 	if _, err := Matches(p, r, Config{MaxStates: 1}); err == nil {
 		t.Error("expected ErrBudget with MaxStates=1")
+	}
+}
+
+// TestStatesIsTheBudgetUnit pins Match.States to the unit MaxStates
+// bounds, on every SC outcome of the litmus suite and a perturbed copy
+// of each: bounded at exactly the States an unbounded search took, the
+// search decides the same way; bounded one state lower, it runs out.
+func TestStatesIsTheBudgetUnit(t *testing.T) {
+	checked := 0
+	for _, p := range litmus.All() {
+		for _, sc := range enumResults(t, p) {
+			for _, r := range []mem.Result{sc, perturb(sc)} {
+				full, err := Matches(p, r, Config{MaxStates: math.MaxInt})
+				if err != nil {
+					t.Fatalf("%s: unbounded: %v", p.Name, err)
+				}
+				if full.States <= 1 {
+					continue
+				}
+				checked++
+				at, err := Matches(p, r, Config{MaxStates: full.States})
+				if err != nil || at.OK != full.OK {
+					t.Errorf("%s %s: bounded at %d states: OK=%v err=%v, want OK=%v",
+						p.Name, r.Key(), full.States, at.OK, err, full.OK)
+				}
+				if _, err := Matches(p, r, Config{MaxStates: full.States - 1}); !errors.Is(err, ErrBudget) {
+					t.Errorf("%s %s: bounded at %d states: err=%v, want ErrBudget",
+						p.Name, r.Key(), full.States-1, err)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no query took more than one state")
 	}
 }
 

@@ -1,40 +1,21 @@
 // Package workload builds the parameterized synthetic workloads driving
 // the quantitative study the paper proposes as future work ("a
 // quantitative performance analysis comparing implementations for the old
-// and new definitions of weak ordering"): critical sections with variable
-// data-per-synchronization ratios, producer/consumer pipelines, spin-lock
-// contention, and the Figure 3 release/acquire scenario. All workloads
-// obey DRF0 by construction, so every weakly ordered policy must produce
-// sequentially consistent results while differing (sometimes sharply) in
-// cycles.
+// and new definitions of weak ordering"): data-per-synchronization
+// sweeps, producer/consumer pipelines, synchronization-free parallel
+// writes, and the Figure 3 release/acquire scenario scaled to large
+// machines. The spin-lock, Test&TestAndSet and barrier workloads live in
+// internal/litmus. All workloads obey DRF0 by construction, so every
+// weakly ordered policy must produce sequentially consistent results
+// while differing (sometimes sharply) in cycles.
 package workload
 
 import (
 	"fmt"
 
-	"weakorder/internal/litmus"
 	"weakorder/internal/mem"
 	"weakorder/internal/program"
 )
-
-// CriticalSection re-exports the spin-lock counter workload: procs
-// processors each acquire a TAS lock rounds times and bump a shared
-// counter.
-func CriticalSection(procs, rounds int) *program.Program {
-	return litmus.CriticalSection(procs, rounds)
-}
-
-// TestAndTAS re-exports the Test&TestAndSet variant (Section 6).
-func TestAndTAS(procs, rounds int) *program.Program {
-	return litmus.TestAndTAS(procs, rounds)
-}
-
-// Barrier re-exports the centralized barrier workload.
-func Barrier(procs int) *program.Program { return litmus.Barrier(procs) }
-
-// Fig3 re-exports the Figure 3 release/acquire scenario with the given
-// amount of surrounding work.
-func Fig3(work int) *program.Program { return litmus.Figure3Work(work) }
 
 // Fig3Scaled scales the Figure 3 release/acquire scenario to procs
 // processors: every processor but the releaser first reads x (becoming a

@@ -92,15 +92,3 @@ func TestFalseShareScalesWithoutSync(t *testing.T) {
 		}
 	}
 }
-
-func TestReExportsMatchLitmus(t *testing.T) {
-	if CriticalSection(2, 1).Name != "critsec-2p-1r" {
-		t.Error("CriticalSection re-export broken")
-	}
-	if Barrier(2).NumThreads() != 2 {
-		t.Error("Barrier re-export broken")
-	}
-	if TestAndTAS(2, 1) == nil || Fig3(1) == nil {
-		t.Error("re-exports returned nil")
-	}
-}
