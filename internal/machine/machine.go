@@ -7,7 +7,6 @@ package machine
 
 import (
 	"fmt"
-	"math/rand"
 
 	"weakorder/internal/cache"
 	"weakorder/internal/cpu"
@@ -375,7 +374,6 @@ type Machine struct {
 	cfg         Config
 	prog        *program.Program
 	kernel      *sim.Kernel
-	src         rand.Source // arbitration stream (see shuffle)
 	net         network.Network
 	rawNet      network.Network // the interconnect beneath any fault injector
 	fnet        *faults.Net
@@ -392,13 +390,15 @@ type Machine struct {
 	pendingMigrations []Migration
 	suspending        bool
 
-	// order is the arbitration permutation of every processor, reshuffled
-	// each cycle. live marks the processors that can still act (not
-	// Halted after a drain phase; nLive counts them), and act lists the
-	// current cycle's live processors in arbitration order: only those are
-	// stepped. busy holds the caches with outstanding transactions, the
-	// only ones whose retry timers need polling. All are allocated once so
-	// pooled machines run allocation-free.
+	// order is the arbitration permutation of every processor, which arb
+	// reshuffles each cycle. live marks the processors that can still act
+	// (not Halted after a drain phase; nLive counts them), and act lists
+	// the current cycle's live processors in arbitration order, filled by
+	// the same walk: only those are stepped. busy holds the caches with
+	// outstanding transactions, the only ones whose retry timers need
+	// polling. All are allocated once so pooled machines run
+	// allocation-free.
+	arb       arbiter
 	order     []int
 	live      []bool
 	nLive     int
@@ -430,8 +430,8 @@ func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
 		cfg:    cfg,
 		prog:   prog,
 		kernel: &sim.Kernel{},
-		src:    rand.NewSource(seed ^ 0x5eed),
 	}
+	m.arb.seed(seed)
 	if cfg.Metrics {
 		m.reg = metrics.NewRegistry()
 	}
@@ -636,7 +636,7 @@ func (m *Machine) finishProcs(prog *program.Program, nProcs int) (*Machine, erro
 	}
 	m.order = make([]int, nProcs)
 	m.live = make([]bool, nProcs)
-	m.act = make([]int, 0, nProcs)
+	m.act = make([]int, nProcs)
 	return m, nil
 }
 
@@ -685,7 +685,8 @@ func (m *Machine) done() bool {
 // once it is Halted after the drain phase and rejoins only in
 // stepMigrations, and each cycle steps the live processors alone, in
 // their places in the arbitration order, which is still drawn over every
-// processor.
+// processor. A migration whose destination still runs its own thread
+// ends the run with an error.
 func (m *Machine) Run() (*RunResult, error) {
 	m.pendingMigrations = append([]Migration(nil), m.cfg.Migrations...)
 	order := m.order
@@ -705,14 +706,11 @@ func (m *Machine) Run() (*RunResult, error) {
 			return nil, &LivenessError{Report: m.liveness()}
 		}
 		m.kernel.AdvanceTo(sim.Time(cycle))
-		m.stepMigrations(cycle)
-		shuffle(m.src, order)
-		act := m.act[:0]
-		for _, i := range order {
-			if m.live[i] {
-				act = append(act, i)
-			}
+		if err := m.stepMigrations(cycle); err != nil {
+			return nil, err
 		}
+		act := m.act[:m.nLive]
+		m.arb.shuffle(order, m.live, act)
 		for _, i := range act {
 			m.procs[i].Tick()
 			if err := m.procs[i].Err(); err != nil {
@@ -778,7 +776,7 @@ func (m *Machine) Run() (*RunResult, error) {
 		m.ffSkips++
 		m.ffCycles += skipped
 		for n := skipped; n > 0; n-- {
-			shuffle(m.src, order)
+			m.arb.shuffle(order, nil, nil)
 		}
 		for _, i := range act {
 			m.procs[i].AddStallCycles(skipped)
@@ -875,14 +873,15 @@ func (m *Machine) finalState() map[mem.Addr]mem.Value {
 // stepMigrations drives the paper's context-switch protocol for the
 // head pending migration: request suspension, wait until the source has
 // drained (parked, counter zero, no outstanding transactions), then move
-// the thread state to the destination.
-func (m *Machine) stepMigrations(cycle uint64) {
+// the thread state to the destination. The destination must be idle:
+// its own thread halted, or retired by an earlier migration.
+func (m *Machine) stepMigrations(cycle uint64) error {
 	if len(m.pendingMigrations) == 0 {
-		return
+		return nil
 	}
 	mg := m.pendingMigrations[0]
 	if cycle < mg.AtCycle {
-		return
+		return nil
 	}
 	src := m.procs[mg.From]
 	if !m.suspending {
@@ -892,27 +891,27 @@ func (m *Machine) stepMigrations(cycle uint64) {
 	drained := (src.Suspended() || src.Halted()) &&
 		m.ports[mg.From].Counter() == 0 && !m.ports[mg.From].Busy()
 	if !drained {
-		return
+		return nil
 	}
 	if src.Halted() {
 		// The thread finished before the switch: nothing to move.
 		m.pendingMigrations = m.pendingMigrations[1:]
 		m.suspending = false
-		return
+		return nil
 	}
-	st := src.Export()
+	if err := m.procs[mg.To].Install(src.Export()); err != nil {
+		// New checks only that the processors exist and differ; whether
+		// the destination is still busy shows only now.
+		return fmt.Errorf("machine: migration %+v: %w", mg, err)
+	}
 	src.Retire()
-	if err := m.procs[mg.To].Install(st); err != nil {
-		// The destination is busy: drop the migration rather than wedge
-		// the machine (validated configurations do not hit this).
-		panic(err)
-	}
 	if !m.live[mg.To] {
 		m.live[mg.To] = true
 		m.nLive++
 	}
 	m.pendingMigrations = m.pendingMigrations[1:]
 	m.suspending = false
+	return nil
 }
 
 // Run is the convenience one-shot: assemble and run.

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"weakorder/internal/gen"
@@ -73,24 +75,69 @@ func TestMigrationAppearsSC(t *testing.T) {
 }
 
 func TestMigrationChain(t *testing.T) {
-	// Two successive migrations: thread 0 hops 0 -> 2 -> 0 is illegal (0
-	// is retired), so hop 0 -> 2 then 2 -> 3.
+	// Two successive migrations of thread 0. A processor retired by a
+	// migration is halted, so it can take a thread again: the hop
+	// 0 -> 2 -> 0 brings processor 0 back into the live set and the
+	// arbitration order, which no other path does.
 	p := litmus.CriticalSection(2, 3)
 	counter, _ := p.AddrOf("counter")
+	for _, c := range []struct {
+		name  string
+		extra int
+		to    int // the second hop's destination
+	}{
+		{"0-2-3", 2, 3},
+		{"0-2-0", 1, 0},
+	} {
+		cfg := Config{
+			Policy: policy.WODef2, Topology: TopoNetwork, Caches: true,
+			ExtraProcs: c.extra,
+			Migrations: []Migration{
+				{AtCycle: 30, From: 0, To: 2},
+				{AtCycle: 90, From: 2, To: c.to},
+			},
+		}
+		chained := 0 // seeds on which the thread took both hops
+		for seed := int64(0); seed < 5; seed++ {
+			m, err := New(p, cfg, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := m.Run()
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", c.name, seed, err)
+			}
+			if got := res.Exec.Final[counter]; got != 6 {
+				t.Errorf("%s seed %d: counter = %d, want 6", c.name, seed, got)
+			}
+			// On some seeds the thread finishes on processor 2 before the
+			// second hop can suspend it, and that hop is a no-op.
+			if _, ok := m.procs[c.to].FinalRegs(); ok && m.procs[c.to].ThreadID() == 0 {
+				chained++
+			}
+		}
+		if chained == 0 {
+			t.Errorf("%s: on no seed did thread 0 finish on processor %d", c.name, c.to)
+		}
+	}
+}
+
+// A migration onto a processor that still runs its own thread cannot be
+// carried out; New accepts it (both processors exist and differ), so Run
+// must end with an error that names it.
+func TestMigrationOntoBusyProcessor(t *testing.T) {
+	p := litmus.CriticalSection(2, 3)
+	mg := Migration{AtCycle: 10, From: 0, To: 1}
 	cfg := Config{
 		Policy: policy.WODef2, Topology: TopoNetwork, Caches: true,
-		ExtraProcs: 2,
-		Migrations: []Migration{
-			{AtCycle: 30, From: 0, To: 2},
-			{AtCycle: 90, From: 2, To: 3},
-		},
+		Migrations: []Migration{mg},
 	}
-	res, err := Run(p, cfg, 4)
-	if err != nil {
-		t.Fatal(err)
+	_, err := Run(p, cfg, 0)
+	if err == nil {
+		t.Fatal("a migration onto a busy processor must fail the run")
 	}
-	if got := res.Exec.Final[counter]; got != 6 {
-		t.Errorf("counter = %d, want 6", got)
+	if want := fmt.Sprintf("%+v", mg); !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "busy") {
+		t.Errorf("error %q does not name the migration %s and its busy destination", err, want)
 	}
 }
 

@@ -115,9 +115,7 @@ func (m *Machine) Reset(prog *program.Program, cfg Config, seed int64) error {
 	m.cfg = cfg
 	m.prog = prog
 	m.kernel.Reset()
-	// Same stream as New's rand.NewSource(seed ^ 0x5eed): Seed rewinds
-	// the source in place.
-	m.src.Seed(seed ^ 0x5eed)
+	m.arb.seed(seed)
 	m.trace = m.trace[:0]
 	m.traceCycles = m.traceCycles[:0]
 	m.pendingMigrations = nil
