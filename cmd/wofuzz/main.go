@@ -56,7 +56,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		corpus   = flag.String("corpus", "", "directory receiving .litmus+.json reproducers for violations")
 		table    = flag.Bool("table", true, "print the coverage table to stderr")
-		metricsF = flag.Bool("metrics", false, "print campaign metrics (Prometheus text) to stderr and emit periodic progress lines")
+		metricsF = flag.Bool("metrics", false, "print the campaign's metrics snapshot (Prometheus text) to stderr")
 		fault    = flag.String("fault", "", "corrupt one read per run on this policy (violation-pipeline test)")
 		faultsIn = flag.String("faults", "none", "interconnect fault plan: a preset (none, mild, severe) or drop=/dup=/delay=/maxdelay=/noretry spec")
 		journal  = flag.String("journal", "", "append-only campaign journal: every completed program is checkpointed here")
@@ -141,13 +141,6 @@ func main() {
 	if !*quiet {
 		cfg.Logf = func(format string, args ...interface{}) {
 			fmt.Fprintf(os.Stderr, "wofuzz: "+format+"\n", args...)
-		}
-	}
-	if *metricsF {
-		// Progress every ~5% of the campaign, at least every program.
-		cfg.Progress = *n / 20
-		if cfg.Progress < 1 {
-			cfg.Progress = 1
 		}
 	}
 	switch *progFmt {

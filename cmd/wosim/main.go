@@ -26,7 +26,7 @@ import (
 	"weakorder/internal/policy"
 	"weakorder/internal/program"
 	"weakorder/internal/runner"
-	"weakorder/internal/trace"
+	"weakorder/internal/scmatch"
 	"weakorder/internal/workload"
 )
 
@@ -95,7 +95,7 @@ func main() {
 		Policy:   pol,
 		Caches:   *caches,
 		Metrics:  *metricsOut != "",
-		Timeline: *timelineOut != "",
+		Timeline: *timelineOut != "" || *traceFirst,
 	}
 	if cfg.Topology, err = machine.ParseTopology(*topo); err != nil {
 		fatalUsage(err)
@@ -123,12 +123,11 @@ func main() {
 	}
 	if plan.Enabled() {
 		cfg.Faults = &plan
-		// Tracing wants the DROP/DUP/DELAY/RETRY events in the timeline.
-		cfg.RecordFaultEvents = *traceFirst
 	}
 
 	fmt.Printf("program %s on %s\n\n", prog.Name, cfg.Name())
 	outcomes := make(map[string]int)
+	isSC := make(map[string]bool) // appears-SC verdict per result key
 	nonSC := 0
 	condHits := 0
 	for s := 0; s < *seeds; s++ {
@@ -136,7 +135,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		outcomes[res.Result.Key()]++
+		key := res.Result.Key()
+		outcomes[key]++
 		if *verbose {
 			fmt.Printf("--- seed %d (%d cycles)\n", *seed+int64(s), res.Stats.Cycles)
 			for _, op := range res.Exec.Ops {
@@ -144,11 +144,16 @@ func main() {
 			}
 		}
 		if *checkSC {
-			ok, _, err := weakorder.AppearsSC(prog, res.Result)
-			if err != nil {
-				fatal(err)
+			sc, seen := isSC[key]
+			if !seen {
+				m, err := scmatch.Decide(prog, res.Result, scmatch.Config{})
+				if err != nil {
+					fatal(err)
+				}
+				sc = m.OK
+				isSC[key] = sc
 			}
-			if !ok {
+			if !sc {
 				nonSC++
 			}
 		}
@@ -156,7 +161,10 @@ func main() {
 			condHits++
 		}
 		if s == 0 && *traceFirst {
-			fmt.Println(trace.Timeline(res.Exec, res.OpCycles, res.FaultEvents, 0))
+			if err := res.Timeline.WriteText(os.Stdout, 0); err != nil {
+				fatal(err)
+			}
+			fmt.Println()
 		}
 		if s == *seeds-1 {
 			printStats(res)

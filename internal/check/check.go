@@ -132,23 +132,21 @@ type CampaignConfig struct {
 	// appear SC, and a watchdog death becomes a KindLiveness violation
 	// with a shrunk reproducer instead of aborting the campaign.
 	Faults *faults.Plan
-	// Logf, when non-nil, receives progress lines.
+	// Logf, when non-nil, receives log lines: corpus recovery, resume,
+	// text progress lines, and the "campaign done" line.
 	Logf func(format string, args ...interface{})
-	// Progress, when positive, emits a campaign progress line via Logf
-	// every Progress completed programs: programs done, sims, violations,
-	// and programs/sec so far. Progress lines are side output only — the
-	// Summary stays byte-deterministic regardless of Progress, Workers,
-	// or scheduling.
-	Progress int
 	// ProgressJSON, when non-nil, receives structured progress lines: one
 	// JSON object per line, the same payload the control plane's
 	// /progress endpoint serves, emitted at most once per ProgressEvery.
-	// Like Logf progress lines, this is side output only.
+	// Progress lines are side output only — the Summary stays
+	// byte-deterministic regardless of them, Workers, or scheduling.
 	ProgressJSON io.Writer
-	// ProgressEvery is the minimum interval between timed progress lines
+	// ProgressEvery is the minimum interval between progress lines
 	// (default 1s when ProgressJSON is set). When positive with
-	// ProgressJSON nil, human-readable progress lines go to Logf at the
-	// same cadence instead.
+	// ProgressJSON nil, the same snapshot goes to Logf as a text line
+	// ("progress: done/total programs, sims, violations, prog/s")
+	// instead. Both count programs resumed from a journal as done, and
+	// neither counts them in the rate.
 	ProgressEvery time.Duration
 	// Listen, when non-empty, serves the campaign control plane
 	// (internal/ctlplane) on the given TCP address for the duration of
@@ -345,7 +343,6 @@ func Run(cfg CampaignConfig) (*Summary, error) {
 	}
 
 	start := time.Now()
-	c.start = start
 	if cfg.Listen != "" || cfg.ProgressJSON != nil || cfg.ProgressEvery > 0 {
 		c.pub = newPublisher(cfg, matrix, start)
 		if c.journal != nil {

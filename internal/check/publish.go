@@ -170,8 +170,10 @@ type OracleProgress struct {
 
 // Progress is one live snapshot of campaign progress — the payload of
 // the control plane's /progress endpoint and of structured JSON progress
-// lines (CampaignConfig.ProgressJSON). Unlike the Summary it includes
-// wall-clock rates, so it is side output only.
+// lines (CampaignConfig.ProgressJSON and ProgressEvery). Unlike the
+// Summary it includes wall-clock rates, so it is side output only.
+// DonePrograms counts programs resumed from a journal (ResumedPrograms);
+// ProgramsPerSec and ETASec cover only those checked in this process.
 type Progress struct {
 	Seed            int64            `json:"seed"`
 	Programs        int              `json:"programs"`
@@ -194,6 +196,9 @@ func (p *Publisher) Progress() Progress {
 	if p == nil {
 		return Progress{}
 	}
+	// resumed before done: each resumed program counts as done first, so
+	// done never trails it.
+	resumed := p.resumed.Load()
 	done := p.doneProgs.Load()
 	p.mu.Lock()
 	viols := len(p.violLines)
@@ -202,7 +207,7 @@ func (p *Publisher) Progress() Progress {
 		Seed:            p.cfg.Seed,
 		Programs:        p.cfg.Programs,
 		DonePrograms:    done,
-		ResumedPrograms: p.resumed.Load(),
+		ResumedPrograms: resumed,
 		Configs:         p.nConfigs,
 		Sims:            p.sims.Load(),
 		Violations:      viols,
@@ -221,8 +226,10 @@ func (p *Publisher) Progress() Progress {
 	for i, name := range p.configNames {
 		pr.PerConfig = append(pr.PerConfig, ConfigProgress{Config: name, Runs: p.perConfig[i].Load()})
 	}
-	if pr.ElapsedSec > 0 && done > 0 {
-		pr.ProgramsPerSec = float64(done) / pr.ElapsedSec
+	// The rate and the ETA cover the programs checked in this process;
+	// a resumed program took none of its time.
+	if checked := done - resumed; pr.ElapsedSec > 0 && checked > 0 {
+		pr.ProgramsPerSec = float64(checked) / pr.ElapsedSec
 		if remaining := int64(p.cfg.Programs) - done; remaining > 0 {
 			pr.ETASec = float64(remaining) / pr.ProgramsPerSec
 		}

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -207,6 +209,62 @@ func TestProgressJSONLines(t *testing.T) {
 	}
 	if got := last.Oracle.SatDecided + last.Oracle.L1Hits + last.Oracle.Fallbacks; got <= 0 {
 		t.Errorf("final line reports no oracle activity: %+v", last.Oracle)
+	}
+}
+
+// TestProgressCountsResumedPrograms: a resumed campaign's text progress
+// lines count the journaled programs as done from the first line on,
+// and leave them out of the rate. Every fresh program sleeps through
+// each of its simulations, so no honest rate can exceed one program per
+// (simulations per program × sleep).
+func TestProgressCountsResumedPrograms(t *testing.T) {
+	const sleep = time.Millisecond
+	journal := filepath.Join(t.TempDir(), "campaign.journal")
+	cfg := smallCampaign(35)
+	cfg.Journal = journal
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	const kept = 5
+	truncateJournal(t, journal, kept, "")
+
+	cfg.Resume = true
+	cfg.Workers = 1
+	cfg.Fault = slowFault(sleep)
+	cfg.ProgressEvery = time.Nanosecond // a line per checked program
+	var lines []string
+	cfg.Logf = func(format string, args ...interface{}) {
+		if line := fmt.Sprintf(format, args...); strings.HasPrefix(line, "progress:") {
+			lines = append(lines, line)
+		}
+	}
+	s, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.WatchdogDeaths != 0 || s.WorkerPanics != 0 {
+		t.Fatalf("campaign lost simulations (%d watchdog deaths, %d panics); the rate bound assumes none",
+			s.WatchdogDeaths, s.WorkerPanics)
+	}
+	// One line per program checked here, except the last.
+	if want := cfg.Programs - kept - 1; len(lines) != want {
+		t.Fatalf("got %d progress lines, want %d:\n%s", len(lines), want, strings.Join(lines, "\n"))
+	}
+	maxRate := 1 / (float64(s.Configs*cfg.SeedsPerConfig) * sleep.Seconds())
+	for i, line := range lines {
+		var done, total, sims, viols int
+		var rate float64
+		if n, _ := fmt.Sscanf(line, "progress: %d/%d programs, %d sims, %d violations, %f prog/s",
+			&done, &total, &sims, &viols, &rate); n != 5 {
+			t.Fatalf("line %d does not parse: %q", i+1, line)
+		}
+		if want := kept + i + 1; done != want || total != cfg.Programs {
+			t.Errorf("line %d: %d/%d programs done, want %d/%d: %q", i+1, done, total, want, cfg.Programs, line)
+		}
+		if rate <= 0 || rate > maxRate+0.1 { // +0.1: the line rounds to one decimal
+			t.Errorf("line %d: %.1f prog/s, want a positive rate of at most %.1f over the programs checked here: %q",
+				i+1, rate, maxRate, line)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"regexp"
@@ -31,43 +32,30 @@ type campaign struct {
 	done    map[int]progOutcome
 
 	// pub, when non-nil, receives live campaign state for the control
-	// plane and structured progress lines (publish.go). Nil when neither
-	// is configured; every hook is a no-op then.
+	// plane and progress lines (publish.go). Nil when neither is
+	// configured; every hook is a no-op then.
 	pub *Publisher
 
-	// Progress reporting (side output only; the Summary is aggregated
-	// from the results slice, never from these running counters).
-	start      time.Time
+	// Progress lines are side output only: they render pub's snapshot,
+	// and the Summary never reads it.
 	progressMu sync.Mutex
-	doneProgs  int
-	doneSims   int
-	doneViols  int
-	lastTimed  time.Time
+	lastLine   time.Time
 }
 
-// noteProgress records one completed program and emits progress lines:
-// a human-readable line via Logf every cfg.Progress completions, and —
-// when ProgressJSON or ProgressEvery is configured — a timed line at
-// most once per ProgressEvery (structured JSON to ProgressJSON, or the
-// human format via Logf when only the interval is set).
-func (c *campaign) noteProgress(out progOutcome) {
-	countLines := c.cfg.Progress > 0 && c.cfg.Logf != nil
-	timedLines := c.cfg.ProgressJSON != nil || (c.cfg.ProgressEvery > 0 && c.cfg.Logf != nil)
-	if !countLines && !timedLines {
+// noteProgress emits a progress line after a program checked in this
+// process completes, at most once per ProgressEvery: pub's snapshot as
+// JSON to ProgressJSON, or as a text line via Logf when only the
+// interval is set. Once every program is done no line is emitted; the
+// final "campaign done" line covers completion.
+func (c *campaign) noteProgress() {
+	toJSON := c.cfg.ProgressJSON != nil
+	if !toJSON && (c.cfg.ProgressEvery <= 0 || c.cfg.Logf == nil) {
 		return
 	}
 	c.progressMu.Lock()
 	defer c.progressMu.Unlock()
-	c.doneProgs++
-	c.doneSims += len(out.Sims)
-	c.doneViols += len(out.Violations)
-	if c.doneProgs >= c.cfg.Programs {
-		return // the final "campaign done" line covers completion
-	}
-	if countLines && c.doneProgs%c.cfg.Progress == 0 {
-		c.progressLine()
-	}
-	if !timedLines {
+	pr := c.pub.Progress()
+	if pr.DonePrograms >= int64(pr.Programs) {
 		return
 	}
 	every := c.cfg.ProgressEvery
@@ -75,27 +63,20 @@ func (c *campaign) noteProgress(out progOutcome) {
 		every = time.Second
 	}
 	now := time.Now()
-	if now.Sub(c.lastTimed) < every {
+	if now.Sub(c.lastLine) < every {
 		return
 	}
-	c.lastTimed = now
-	if c.cfg.ProgressJSON != nil {
-		line := append(c.pub.ProgressJSON(), '\n')
-		c.cfg.ProgressJSON.Write(line) //nolint:errcheck // progress is side output
-	} else {
-		c.progressLine()
+	c.lastLine = now
+	if !toJSON {
+		c.cfg.Logf("progress: %d/%d programs, %d sims, %d violations, %.1f prog/s",
+			pr.DonePrograms, pr.Programs, pr.Sims, pr.Violations, pr.ProgramsPerSec)
+		return
 	}
-}
-
-// progressLine emits the human-readable progress line. Caller holds
-// progressMu.
-func (c *campaign) progressLine() {
-	rate := 0.0
-	if elapsed := time.Since(c.start).Seconds(); elapsed > 0 {
-		rate = float64(c.doneProgs) / elapsed
+	line, err := json.Marshal(pr)
+	if err != nil {
+		return // a snapshot is always marshalable; never block the campaign
 	}
-	c.cfg.Logf("progress: %d/%d programs, %d sims, %d violations, %.1f prog/s",
-		c.doneProgs, c.cfg.Programs, c.doneSims, c.doneViols, rate)
+	c.cfg.ProgressJSON.Write(append(line, '\n')) //nolint:errcheck // progress is side output
 }
 
 // simRecord is one simulation's classification outcome. Fields are
@@ -154,10 +135,17 @@ type workerState struct {
 // indices), never from worker identity, which is what makes the campaign
 // deterministic for any worker count. Indices already present in a
 // resumed journal are not re-checked; their journaled outcomes fill the
-// results slice directly.
+// results slice directly, and reach the Publisher before any worker
+// starts, so every progress line counts them.
 func (c *campaign) runPool() ([]progOutcome, error) {
 	outs := make([]progOutcome, c.cfg.Programs)
 	errs := make([]error, c.cfg.Programs)
+	for i := range outs {
+		if done, ok := c.done[i]; ok {
+			outs[i] = done
+			c.pub.noteProgram(i, done, true)
+		}
+	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < c.cfg.Workers; w++ {
@@ -180,17 +168,14 @@ func (c *campaign) runPool() ([]progOutcome, error) {
 				if err == nil {
 					c.pub.noteProgram(idx, out, false)
 				}
-				c.noteProgress(out)
+				c.noteProgress()
 			}
 		}()
 	}
 	for i := 0; i < c.cfg.Programs; i++ {
-		if done, ok := c.done[i]; ok {
-			outs[i] = done
-			c.pub.noteProgram(i, done, true)
-			continue
+		if _, ok := c.done[i]; !ok {
+			jobs <- i
 		}
-		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()

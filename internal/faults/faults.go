@@ -28,6 +28,7 @@ import (
 	"strconv"
 	"strings"
 
+	"weakorder/internal/metrics"
 	"weakorder/internal/network"
 	"weakorder/internal/sim"
 	"weakorder/internal/splitmix"
@@ -186,73 +187,6 @@ func (p Plan) String() string {
 	return strings.Join(parts, " ")
 }
 
-// Kind classifies a fault event.
-type Kind uint8
-
-// Fault event kinds.
-const (
-	// KindDrop: a transmission was discarded.
-	KindDrop Kind = iota
-	// KindDup: a message was transmitted twice.
-	KindDup
-	// KindDelay: a transmission incurred extra latency.
-	KindDelay
-	// KindRetry: a cache re-sent a timed-out request (noted by the
-	// retry protocol via NoteRetry, not decided by the injector).
-	KindRetry
-)
-
-// String names the kind.
-func (k Kind) String() string {
-	switch k {
-	case KindDrop:
-		return "DROP"
-	case KindDup:
-		return "DUP"
-	case KindDelay:
-		return "DELAY"
-	case KindRetry:
-		return "RETRY"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
-	}
-}
-
-// Event records one fault decision, for timeline interleaving.
-type Event struct {
-	// At is the simulation time of the decision (send time, not
-	// delivery time).
-	At sim.Time
-	// Kind classifies the event.
-	Kind Kind
-	// Src and Dst are the message's endpoints.
-	Src, Dst int
-	// Msg names the affected message (via the Describe hook).
-	Msg string
-	// Extra is the added latency in cycles (KindDelay) or the retry
-	// attempt number (KindRetry); zero otherwise.
-	Extra uint64
-}
-
-// String renders the event, e.g. "t=118 DROP GetX 1->4".
-func (e Event) String() string {
-	return fmt.Sprintf("t=%d %v %s", e.At, e.Kind, e.Describe())
-}
-
-// Describe renders the event body without the timestamp and kind —
-// "GetX 1->4 +12" — for callers that lay those out themselves (timeline
-// rendering).
-func (e Event) Describe() string {
-	s := fmt.Sprintf("%s %d->%d", e.Msg, e.Src, e.Dst)
-	switch e.Kind {
-	case KindDelay:
-		s += fmt.Sprintf(" +%d", e.Extra)
-	case KindRetry:
-		s += fmt.Sprintf(" attempt=%d", e.Extra)
-	}
-	return s
-}
-
 // Stats counts injector activity.
 type Stats struct {
 	// Faultable counts messages eligible for faults.
@@ -281,11 +215,13 @@ type Hooks struct {
 	// Faultable selects the messages the plan may perturb. Nil means no
 	// message is faultable (the injector becomes a pass-through).
 	Faultable func(network.Msg) bool
-	// Describe names a message for the event log (defaults to %T).
+	// Describe names a message in Track's marks (defaults to %T).
 	Describe func(network.Msg) string
-	// Record enables the event log (Events); campaigns leave it off to
-	// avoid the memory.
-	Record bool
+	// Track, when non-nil, receives every DROP/DUP/DELAY/RETRY decision
+	// as an instant at the decision's time, named like "DROP GetX 1->4",
+	// "DELAY GetS 0->2 +12" or "RETRY PutX 0->2 attempt=3". Campaigns
+	// leave it nil and pay no formatting.
+	Track *metrics.Track
 }
 
 // Net wraps an inner Network, applying plan to faultable messages. All
@@ -293,14 +229,13 @@ type Hooks struct {
 // the injector is driven only by deterministic kernel events, so a
 // (seed, plan) pair fully determines the fault schedule.
 type Net struct {
-	k      *sim.Kernel
-	inner  network.Network
-	plan   Plan
-	rng    splitmix.Stream
-	hooks  Hooks
-	stats  Stats
-	events []Event
-	free   []*delayTask
+	k     *sim.Kernel
+	inner network.Network
+	plan  Plan
+	rng   splitmix.Stream
+	hooks Hooks
+	stats Stats
+	free  []*delayTask
 }
 
 // delayTask is a pooled deferred retransmission: one heap object per
@@ -330,15 +265,14 @@ func New(k *sim.Kernel, inner network.Network, plan Plan, seed uint64, hooks Hoo
 }
 
 // Reset reprograms the injector in place for a new run: a fresh plan and
-// decision-stream seed, zeroed counters, and an emptied event log. The
-// kernel, inner network, and hooks persist — pooled machines reuse one
-// injector across runs. A Reset(plan, seed) injector behaves
-// byte-identically to New(k, inner, plan, seed, hooks).
+// decision-stream seed and zeroed counters. The kernel, inner network,
+// and hooks persist — pooled machines reuse one injector across runs. A
+// Reset(plan, seed) injector behaves byte-identically to
+// New(k, inner, plan, seed, hooks).
 func (n *Net) Reset(plan Plan, seed uint64) {
 	n.plan = plan
 	n.rng.Reseed(seed)
 	n.stats = Stats{}
-	n.events = n.events[:0]
 }
 
 // Attach implements network.Network.
@@ -356,7 +290,7 @@ func (n *Net) Send(src, dst int, m network.Msg) {
 	n.transmit(src, dst, m)
 	if n.plan.Dup > 0 && n.rng.Float64() < n.plan.Dup {
 		n.stats.Dups++
-		n.event(Event{Kind: KindDup, Src: src, Dst: dst, Msg: n.describe(m)})
+		n.mark("DUP", src, dst, m, 0)
 		n.transmit(src, dst, m)
 	}
 }
@@ -365,14 +299,14 @@ func (n *Net) Send(src, dst int, m network.Msg) {
 func (n *Net) transmit(src, dst int, m network.Msg) {
 	if n.plan.Drop > 0 && n.rng.Float64() < n.plan.Drop {
 		n.stats.Drops++
-		n.event(Event{Kind: KindDrop, Src: src, Dst: dst, Msg: n.describe(m)})
+		n.mark("DROP", src, dst, m, 0)
 		return
 	}
 	if n.plan.Delay > 0 && n.rng.Float64() < n.plan.Delay {
 		extra := sim.Time(1 + n.rng.Uint64n(uint64(n.plan.MaxExtraDelay)))
 		n.stats.Delays++
 		n.stats.ExtraDelayCycles += uint64(extra)
-		n.event(Event{Kind: KindDelay, Src: src, Dst: dst, Msg: n.describe(m), Extra: uint64(extra)})
+		n.mark("DELAY", src, dst, m, uint64(extra))
 		var t *delayTask
 		if k := len(n.free); k > 0 {
 			t = n.free[k-1]
@@ -388,12 +322,12 @@ func (n *Net) transmit(src, dst int, m network.Msg) {
 	n.inner.Send(src, dst, m)
 }
 
-// NoteRetry records a retry-protocol resend in the event log and stats.
-// The resend itself travels through Send like any message (and may be
-// faulted again).
+// NoteRetry records a retry-protocol resend in the stats and on the
+// track. The resend itself travels through Send like any message (and
+// may be faulted again).
 func (n *Net) NoteRetry(src, dst int, m network.Msg, attempt int) {
 	n.stats.Retries++
-	n.event(Event{Kind: KindRetry, Src: src, Dst: dst, Msg: n.describe(m), Extra: uint64(attempt)})
+	n.mark("RETRY", src, dst, m, uint64(attempt))
 }
 
 // Stats implements network.Network (traffic statistics of the inner
@@ -406,23 +340,26 @@ func (n *Net) Err() error { return n.inner.Err() }
 // FaultStats returns the injector's counters.
 func (n *Net) FaultStats() Stats { return n.stats }
 
-// Events returns the recorded fault events in decision order (empty
-// unless Hooks.Record was set).
-func (n *Net) Events() []Event { return n.events }
-
-func (n *Net) describe(m network.Msg) string {
-	if n.hooks.Describe != nil {
-		return n.hooks.Describe(m)
-	}
-	return fmt.Sprintf("%T", m)
-}
-
-func (n *Net) event(e Event) {
-	if !n.hooks.Record {
+// mark records one decision on the hooks' track: extra is the added
+// latency of a DELAY and the attempt number of a RETRY.
+func (n *Net) mark(kind string, src, dst int, m network.Msg, extra uint64) {
+	if n.hooks.Track == nil {
 		return
 	}
-	e.At = n.k.Now()
-	n.events = append(n.events, e)
+	var msg string
+	if n.hooks.Describe != nil {
+		msg = n.hooks.Describe(m)
+	} else {
+		msg = fmt.Sprintf("%T", m)
+	}
+	name := fmt.Sprintf("%s %s %d->%d", kind, msg, src, dst)
+	switch kind {
+	case "DELAY":
+		name += fmt.Sprintf(" +%d", extra)
+	case "RETRY":
+		name += fmt.Sprintf(" attempt=%d", extra)
+	}
+	n.hooks.Track.Mark(name, n.k.Now())
 }
 
 // Compile-time interface check.

@@ -1,10 +1,13 @@
 package faults
 
 import (
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"weakorder/internal/metrics"
 	"weakorder/internal/network"
 	"weakorder/internal/sim"
 )
@@ -21,13 +24,40 @@ type arrival struct {
 	m        network.Msg
 }
 
+// marks lists a timeline's instants as "time name", in export order.
+func marks(t *testing.T, tl *metrics.Timeline) []string {
+	t.Helper()
+	b, err := tl.ChromeTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			Ts   uint64 `json:"ts"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "i" {
+			out = append(out, fmt.Sprintf("%d %s", ev.Ts, ev.Name))
+		}
+	}
+	return out
+}
+
 // run drives a scripted send schedule through a faulty wrapper over a
-// jitter-free general network and returns the delivery schedule.
-func run(t *testing.T, seed uint64, plan Plan, record bool) ([]arrival, *Net) {
+// jitter-free general network and returns the delivery schedule. A
+// non-nil track receives the injector's decisions.
+func run(t *testing.T, seed uint64, plan Plan, track *metrics.Track) ([]arrival, *Net) {
 	t.Helper()
 	k := &sim.Kernel{}
 	inner := network.NewGeneral(k, network.GeneralConfig{BaseLatency: 3, Seed: 1})
-	n := New(k, inner, plan, seed, Hooks{Faultable: faultableFake, Record: record})
+	n := New(k, inner, plan, seed, Hooks{Faultable: faultableFake, Track: track})
 	var got []arrival
 	h := func(dst int) network.Handler {
 		return func(src int, m network.Msg) {
@@ -51,31 +81,41 @@ func run(t *testing.T, seed uint64, plan Plan, record bool) ([]arrival, *Net) {
 
 func TestSameSeedSamePlanIdenticalSchedule(t *testing.T) {
 	plan := Severe()
-	a, na := run(t, 42, plan, true)
-	b, nb := run(t, 42, plan, true)
+	tla, tlb := metrics.NewTimeline(), metrics.NewTimeline()
+	a, na := run(t, 42, plan, tla.Track("faults"))
+	b, nb := run(t, 42, plan, tlb.Track("faults"))
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("delivery schedules differ for identical (seed, plan):\n%v\nvs\n%v", a, b)
 	}
 	if na.FaultStats() != nb.FaultStats() {
 		t.Fatalf("fault stats differ: %v vs %v", na.FaultStats(), nb.FaultStats())
 	}
-	if !reflect.DeepEqual(na.Events(), nb.Events()) {
-		t.Fatal("event logs differ for identical (seed, plan)")
+	ma, mb := marks(t, tla), marks(t, tlb)
+	if len(ma) == 0 {
+		t.Fatal("severe plan marked no decisions; test is vacuous")
+	}
+	if !reflect.DeepEqual(ma, mb) {
+		t.Fatalf("fault marks differ for identical (seed, plan):\n%v\nvs\n%v", ma, mb)
+	}
+	st := na.FaultStats()
+	if want := st.Drops + st.Dups + st.Delays + st.Retries; uint64(len(ma)) != want {
+		t.Fatalf("%d marks, want one per decision (%d): %v", len(ma), want, st)
 	}
 }
 
 func TestDifferentSeedDifferentSchedule(t *testing.T) {
 	plan := Severe()
-	a, _ := run(t, 1, plan, false)
-	b, _ := run(t, 2, plan, false)
+	a, _ := run(t, 1, plan, nil)
+	b, _ := run(t, 2, plan, nil)
 	if reflect.DeepEqual(a, b) {
 		t.Fatal("different seeds produced identical schedules under a severe plan (suspicious)")
 	}
 }
 
 func TestNonePlanIsTransparent(t *testing.T) {
-	faulted, n := run(t, 7, None(), true)
-	clean, _ := run(t, 99, None(), false) // seed irrelevant: no decisions drawn
+	tl := metrics.NewTimeline()
+	faulted, n := run(t, 7, None(), tl.Track("faults"))
+	clean, _ := run(t, 99, None(), nil) // seed irrelevant: no decisions drawn
 	if !reflect.DeepEqual(faulted, clean) {
 		t.Fatal("empty plan altered the delivery schedule")
 	}
@@ -83,15 +123,15 @@ func TestNonePlanIsTransparent(t *testing.T) {
 	if st.Drops != 0 || st.Dups != 0 || st.Delays != 0 {
 		t.Fatalf("empty plan recorded faults: %v", st)
 	}
-	if len(n.Events()) != 0 {
-		t.Fatalf("empty plan recorded %d events", len(n.Events()))
+	if m := marks(t, tl); len(m) != 0 {
+		t.Fatalf("empty plan marked %d decisions: %v", len(m), m)
 	}
 }
 
 func TestProtectedMessagesNeverFaulted(t *testing.T) {
 	// Drop everything faultable: every fakeMsg vanishes, every protected
 	// string survives.
-	got, n := run(t, 5, Plan{Drop: 1}, false)
+	got, n := run(t, 5, Plan{Drop: 1}, nil)
 	for _, d := range got {
 		if faultableFake(d.m) {
 			t.Fatalf("faultable message delivered under Drop=1: %+v", d)
@@ -107,7 +147,7 @@ func TestProtectedMessagesNeverFaulted(t *testing.T) {
 }
 
 func TestDupDeliversTwice(t *testing.T) {
-	got, n := run(t, 11, Plan{Dup: 1}, false)
+	got, n := run(t, 11, Plan{Dup: 1}, nil)
 	counts := make(map[int]int)
 	for _, d := range got {
 		if faultableFake(d.m) {
@@ -126,7 +166,7 @@ func TestDupDeliversTwice(t *testing.T) {
 
 func TestDelayAddsBoundedLatency(t *testing.T) {
 	const maxExtra = 9
-	got, n := run(t, 13, Plan{Delay: 1, MaxExtraDelay: maxExtra}, false)
+	got, n := run(t, 13, Plan{Delay: 1, MaxExtraDelay: maxExtra}, nil)
 	if len(got) == 0 {
 		t.Fatal("no deliveries")
 	}
@@ -236,18 +276,26 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestEventAndStatsRendering pins the names of the decisions' marks
+// and the plan rendering.
 func TestEventAndStatsRendering(t *testing.T) {
-	e := Event{At: 118, Kind: KindDrop, Src: 1, Dst: 4, Msg: "GetX"}
-	if got := e.String(); got != "t=118 DROP GetX 1->4" {
-		t.Fatalf("Event.String() = %q", got)
-	}
-	d := Event{At: 7, Kind: KindDelay, Src: 0, Dst: 2, Msg: "GetS", Extra: 12}
-	if got := d.String(); got != "t=7 DELAY GetS 0->2 +12" {
-		t.Fatalf("Event.String() = %q", got)
-	}
-	r := Event{At: 9, Kind: KindRetry, Src: 0, Dst: 2, Msg: "PutX", Extra: 3}
-	if got := r.String(); got != "t=9 RETRY PutX 0->2 attempt=3" {
-		t.Fatalf("Event.String() = %q", got)
+	tl := metrics.NewTimeline()
+	k := &sim.Kernel{}
+	names := map[uint64]string{1: "GetX", 2: "GetS", 3: "PutX"}
+	n := New(k, network.NewGeneral(k, network.GeneralConfig{}), Plan{Drop: 1}, 1, Hooks{
+		Faultable: faultableFake,
+		Describe:  func(m network.Msg) string { return names[m.ReqID] },
+		Track:     tl.Track("faults"),
+	})
+	k.AdvanceTo(7)
+	n.mark("DELAY", 0, 2, network.Msg{ReqID: 2}, 12)
+	k.AdvanceTo(9)
+	n.NoteRetry(0, 2, network.Msg{ReqID: 3}, 3)
+	k.AdvanceTo(118)
+	n.Send(1, 4, network.Msg{Kind: 42, ReqID: 1})
+	want := []string{"7 DELAY GetS 0->2 +12", "9 RETRY PutX 0->2 attempt=3", "118 DROP GetX 1->4"}
+	if got := marks(t, tl); !reflect.DeepEqual(got, want) {
+		t.Fatalf("marks = %q, want %q", got, want)
 	}
 	if Mild().String() == "" || Severe().String() == "" || None().String() != "none" {
 		t.Fatal("Plan.String() rendering broken")

@@ -1,8 +1,12 @@
 package machine
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"weakorder/internal/faults"
@@ -21,6 +25,42 @@ func faultCfg(plan faults.Plan) Config {
 	}
 }
 
+// faultMarks lists the instants on a run's "faults" timeline track as
+// "cycle name", in recording order.
+func faultMarks(t *testing.T, res *RunResult) []string {
+	t.Helper()
+	b, err := res.Timeline.ChromeTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			Ph   string            `json:"ph"`
+			Ts   uint64            `json:"ts"`
+			Tid  int               `json:"tid"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
+	}
+	tid := -1
+	var out []string
+	for _, ev := range doc.TraceEvents {
+		switch {
+		case ev.Ph == "M" && ev.Args["name"] == "faults":
+			tid = ev.Tid
+		case ev.Ph == "i" && ev.Tid == tid:
+			out = append(out, fmt.Sprintf("%d %s", ev.Ts, ev.Name))
+		}
+	}
+	if tid < 0 {
+		t.Fatal("faulted run's timeline has no faults track")
+	}
+	return out
+}
+
 // Same (seed, plan) must replay byte-identically: same committed
 // execution, same cycle count, same fault decisions in the same order.
 func TestFaultsDeterministicReplay(t *testing.T) {
@@ -28,7 +68,7 @@ func TestFaultsDeterministicReplay(t *testing.T) {
 		Procs: 3, Locks: 2, SharedPerLock: 2, Sections: 2, OpsPerSection: 2,
 	}, 5)
 	cfg := faultCfg(faults.Severe())
-	cfg.RecordFaultEvents = true
+	cfg.Timeline = true
 
 	a := mustRun(t, p, cfg, 42)
 	b := mustRun(t, p, cfg, 42)
@@ -41,21 +81,34 @@ func TestFaultsDeterministicReplay(t *testing.T) {
 	if *a.FaultStats != *b.FaultStats {
 		t.Fatalf("same seed+plan produced different fault stats:\n%+v\n%+v", *a.FaultStats, *b.FaultStats)
 	}
-	if !reflect.DeepEqual(a.FaultEvents, b.FaultEvents) {
-		t.Fatal("same seed+plan produced different fault event logs")
+	at, err := a.Timeline.ChromeTrace()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.FaultStats.Drops == 0 && a.FaultStats.Dups == 0 && a.FaultStats.Delays == 0 {
+	bt, err := b.Timeline.ChromeTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(at, bt) {
+		t.Fatal("same seed+plan produced different timelines")
+	}
+	fs := a.FaultStats
+	if fs.Drops == 0 && fs.Dups == 0 && fs.Delays == 0 {
 		t.Fatal("severe plan injected nothing; test is vacuous")
+	}
+	marks := faultMarks(t, a)
+	if want := fs.Drops + fs.Dups + fs.Delays + fs.Retries; uint64(len(marks)) != want {
+		t.Fatalf("faults track holds %d instants, want one per decision (%d): %+v", len(marks), want, *fs)
 	}
 
 	// A different machine seed must drive a different fault stream.
 	diverged := false
 	for seed := int64(43); seed < 48 && !diverged; seed++ {
 		c := mustRun(t, p, cfg, seed)
-		diverged = !reflect.DeepEqual(a.FaultEvents, c.FaultEvents)
+		diverged = !reflect.DeepEqual(marks, faultMarks(t, c))
 	}
 	if !diverged {
-		t.Fatal("five different seeds replayed the identical fault event log")
+		t.Fatal("five different seeds replayed the identical fault decisions")
 	}
 }
 
@@ -135,14 +188,19 @@ func TestFaultsDuplicationNeverDoubleApplies(t *testing.T) {
 // an already-served transaction id... unless replies are protected).
 func TestFaultsNeverTouchReplies(t *testing.T) {
 	cfg := faultCfg(faults.Plan{Drop: 0.5, MaxExtraDelay: 8})
-	cfg.RecordFaultEvents = true
+	cfg.Timeline = true
 	p := litmus.MessagePassing()
 	res := mustRun(t, p, cfg, 9)
-	for _, ev := range res.FaultEvents {
-		switch ev.Msg {
-		case "GetS", "GetX", "SyncRead", "PutX", "":
+	marks := faultMarks(t, res)
+	if len(marks) == 0 {
+		t.Fatal("drop=0.5 marked no decisions; test is vacuous")
+	}
+	for _, mk := range marks {
+		// "cycle KIND MSG SRC->DST ..."
+		switch msg := strings.Fields(mk)[2]; msg {
+		case "GetS", "GetX", "SyncRead", "PutX":
 		default:
-			t.Fatalf("fault injected into protected message class %q: %v", ev.Msg, ev)
+			t.Fatalf("fault injected into protected message class %q: %s", msg, mk)
 		}
 	}
 }

@@ -84,15 +84,11 @@ type Config struct {
 	// Any positive jitter permits message reordering between endpoint
 	// pairs; with caches the coherence protocol requires point-to-point
 	// ordering, so jitter then varies latency while each (src,dst) pair
-	// stays FIFO.
+	// stays FIFO. On TopoMesh, NetBase is the injection/ejection
+	// overhead added to meshHop cycles per hop; mesh latency is
+	// deterministic, so NetJitter does not apply.
 	NetBase   sim.Time
 	NetJitter sim.Time
-	// MeshHop is the per-hop router latency for TopoMesh (default 2);
-	// NetBase doubles as the mesh's injection/ejection overhead. Mesh
-	// latency is deterministic — NetJitter does not apply.
-	MeshHop sim.Time
-	// MemLatency is the directory/memory access time (default 4).
-	MemLatency sim.Time
 	// DirMode selects the directory's sharer-tracking scheme (default
 	// cache.DirFullMap, the exact correctness reference). The scalable
 	// modes (cache.DirLimitedPtr, cache.DirCoarseVector) keep bounded
@@ -103,8 +99,6 @@ type Config struct {
 	// DirCoarseness is the processors-per-group size for
 	// cache.DirCoarseVector (default 8).
 	DirCoarseness int
-	// CacheHit is the cache hit latency (default 1).
-	CacheHit sim.Time
 	// CacheCapacity bounds resident lines per cache (0 = unbounded).
 	CacheCapacity int
 	// WriteBuffer is the per-processor write buffer depth (default 8).
@@ -122,10 +116,6 @@ type Config struct {
 	// no-cache ports have no retry protocol) and the directory protocol
 	// (the snoopy bus has no message layer to fault).
 	Faults *faults.Plan
-	// RecordFaultEvents keeps the injector's DROP/DUP/DELAY/RETRY event
-	// log in RunResult.FaultEvents for timeline rendering. Off by
-	// default: campaigns don't pay the memory.
-	RecordFaultEvents bool
 	// RetryTimeout overrides the caches' request-retry timeout (default
 	// 256 cycles when a fault plan is enabled, else retry is off). See
 	// cache.Config.RetryTimeout.
@@ -150,9 +140,12 @@ type Config struct {
 	// never perturbs the simulation — no RNG draws, no kernel events.
 	Metrics bool
 	// Timeline enables span/event recording: RunResult.Timeline carries
-	// per-processor stall spans, per-directory pending-transaction spans,
-	// and op-commit instants, exportable as Chrome trace_event JSON.
-	// Independent of Metrics and equally perturbation-free.
+	// per-processor stall spans and op-commit instants, per-directory
+	// pending-transaction spans, and, when a fault plan is armed, the
+	// injector's DROP/DUP/DELAY/RETRY decisions as instants on a
+	// "faults" track. It exports as Chrome trace_event JSON or as the
+	// text table `wosim -trace` prints. Independent of Metrics and
+	// equally perturbation-free.
 	Timeline bool
 	// ExtraProcs adds idle processors beyond the program's threads —
 	// migration targets (Section 5.1's process re-scheduling).
@@ -174,6 +167,13 @@ type Migration struct {
 	To int
 }
 
+// Fixed latencies, in cycles.
+const (
+	meshHop    sim.Time = 2 // per-hop router latency on TopoMesh
+	memLatency sim.Time = 4 // directory/memory access time
+	cacheHit   sim.Time = 1 // cache hit latency
+)
+
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
 	if c.MemModules == 0 {
@@ -185,9 +185,6 @@ func (c Config) withDefaults() Config {
 		default:
 			c.MemModules = 1
 		}
-	}
-	if c.MeshHop == 0 {
-		c.MeshHop = 2
 	}
 	if c.DirPointers == 0 {
 		c.DirPointers = 4
@@ -203,12 +200,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NetJitter == 0 {
 		c.NetJitter = 4
-	}
-	if c.MemLatency == 0 {
-		c.MemLatency = 4
-	}
-	if c.CacheHit == 0 {
-		c.CacheHit = 1
 	}
 	if c.WriteBuffer == 0 {
 		c.WriteBuffer = 8
@@ -350,9 +341,6 @@ type RunResult struct {
 	// FaultStats holds the fault injector's counters when a fault plan was
 	// active (nil otherwise).
 	FaultStats *faults.Stats
-	// FaultEvents holds the injector's event log when
-	// Config.RecordFaultEvents was set.
-	FaultEvents []faults.Event
 	// Metrics holds the telemetry snapshot when Config.Metrics was set.
 	Metrics *metrics.Snapshot
 	// Timeline holds the recorded timeline when Config.Timeline was set.
@@ -447,14 +435,14 @@ func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
 	if cfg.Snoop {
 		m.snoopBus = snoop.NewBus(m.kernel, snoop.BusConfig{
 			TransferLatency: cfg.BusLatency,
-			MemLatency:      cfg.MemLatency,
+			MemLatency:      memLatency,
 		})
 		for a, v := range prog.Init {
 			m.snoopBus.SetInit(a, v)
 		}
 		for i := 0; i < nProcs; i++ {
 			sc := snoop.NewCache(m.kernel, m.snoopBus, snoop.Config{
-				HitLatency:   cfg.CacheHit,
+				HitLatency:   cacheHit,
 				Capacity:     cfg.CacheCapacity,
 				UseReserve:   cfg.Policy.UsesReserve(),
 				ROSyncBypass: cfg.Policy.ROSyncBypass(),
@@ -487,7 +475,7 @@ func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
 			Width:       w,
 			Height:      h,
 			BaseLatency: cfg.NetBase,
-			HopLatency:  cfg.MeshHop,
+			HopLatency:  meshHop,
 			Telemetry:   m.netTelemetry(),
 		})
 	default:
@@ -499,13 +487,15 @@ func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
 		// Wrap the interconnect before any endpoint captures it, so every
 		// component's sends pass through the injector. The fault stream is
 		// derived from (not equal to) the machine seed, so fault decisions
-		// do not correlate with network jitter.
+		// do not correlate with network jitter. With the timeline on, the
+		// decisions land on a track of their own, registered after the
+		// processors'.
 		m.fnet = faults.New(m.kernel, m.net, *cfg.Faults,
 			splitmix.Mix(uint64(seed)^0xfa17),
 			faults.Hooks{
 				Faultable: func(msg network.Msg) bool { return cache.Faultable(msg) },
 				Describe:  func(msg network.Msg) string { return cache.MsgName(msg) },
-				Record:    cfg.RecordFaultEvents,
+				Track:     m.tl.Track("faults"),
 			})
 		m.net = m.fnet
 	}
@@ -521,7 +511,7 @@ func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
 			dcfg := cache.DirConfig{
 				ID:         nProcs + i,
 				NumProcs:   nProcs,
-				Latency:    cfg.MemLatency,
+				Latency:    memLatency,
 				Mode:       cfg.DirMode,
 				Pointers:   cfg.DirPointers,
 				Coarseness: cfg.DirCoarseness,
@@ -549,7 +539,7 @@ func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
 			ccfg := cache.Config{
 				ID:             i,
 				Home:           home,
-				HitLatency:     cfg.CacheHit,
+				HitLatency:     cacheHit,
 				Capacity:       cfg.CacheCapacity,
 				UseReserve:     cfg.Policy.UsesReserve(),
 				ROSyncBypass:   cfg.Policy.ROSyncBypass(),
@@ -575,7 +565,7 @@ func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
 		}
 	} else {
 		for i := 0; i < cfg.MemModules; i++ {
-			mod := newFlatModule(m.kernel, m.net, nProcs+i, cfg.MemLatency)
+			mod := newFlatModule(m.kernel, m.net, nProcs+i, memLatency)
 			for a, v := range prog.Init {
 				if home(a) == nProcs+i {
 					mod.mem[a] = v
@@ -824,7 +814,6 @@ func (m *Machine) Run() (*RunResult, error) {
 	if m.fnet != nil {
 		st := m.fnet.FaultStats()
 		res.FaultStats = &st
-		res.FaultEvents = m.fnet.Events()
 	}
 	if m.tl != nil {
 		m.tl.Close(m.kernel.Now())

@@ -39,9 +39,6 @@ type poolKey struct {
 	busLatency    sim.Time
 	netBase       sim.Time
 	netJitter     sim.Time
-	meshHop       sim.Time
-	memLatency    sim.Time
-	cacheHit      sim.Time
 	capacity      int
 	dirMode       cache.DirMode
 	dirPointers   int
@@ -61,9 +58,6 @@ func (c Config) key(nProcs int) poolKey {
 		busLatency:    c.BusLatency,
 		netBase:       c.NetBase,
 		netJitter:     c.NetJitter,
-		meshHop:       c.MeshHop,
-		memLatency:    c.MemLatency,
-		cacheHit:      c.CacheHit,
 		capacity:      c.CacheCapacity,
 		dirMode:       c.DirMode,
 		dirPointers:   c.DirPointers,
@@ -76,12 +70,11 @@ func (c Config) key(nProcs int) poolKey {
 
 // poolable reports whether an already-defaulted config can be served by
 // a pooled, resettable machine. Configurations carrying per-run
-// observers (metrics, timeline, fault-event logs), the snoopy-bus
-// hierarchy, or migrations fall back to full reassembly — they are the
-// interactive/diagnostic paths, not the campaign hot loop.
+// observers (metrics, timeline), the snoopy-bus hierarchy, or migrations
+// fall back to full reassembly — they are the interactive/diagnostic
+// paths, not the campaign hot loop.
 func (c Config) poolable() bool {
-	return !c.Snoop && !c.Metrics && !c.Timeline && !c.RecordFaultEvents &&
-		len(c.Migrations) == 0
+	return !c.Snoop && !c.Metrics && !c.Timeline && len(c.Migrations) == 0
 }
 
 // Reset re-targets an assembled machine at prog under cfg and seed,

@@ -1,20 +1,24 @@
 package metrics
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
+	"strings"
 
 	"weakorder/internal/sim"
 )
 
-// Timeline collects per-component span and instant events for export as
-// Chrome trace_event JSON (chrome://tracing, Perfetto). Components own a
-// Track each — one timeline row — and record what they were doing as
-// [start, end) spans (a processor stalled on a fence, a directory line
-// pending) and point-in-time instants (an op commit, a dropped message).
+// Timeline is the one record of when things happen in a run. Components
+// own a Track each — one timeline row — and record what they were doing
+// as [start, end) spans (a processor stalled on a fence, a directory
+// line pending) and point-in-time instants (an op commit, a dropped
+// message). It exports as Chrome trace_event JSON (chrome://tracing,
+// Perfetto) or as a text table of its instants.
 //
 // Like the registry's instruments, a nil *Timeline hands out nil
 // *Tracks, and every Track method is a no-op on a nil receiver, so
@@ -22,6 +26,7 @@ import (
 // draws RNG or schedules events; it cannot perturb the simulation.
 type Timeline struct {
 	tracks []*Track
+	marks  uint64 // instants recorded so far, across all tracks
 }
 
 // NewTimeline returns an empty timeline.
@@ -36,7 +41,7 @@ func (tl *Timeline) Track(name string) *Track {
 	if tl == nil {
 		return nil
 	}
-	t := &Track{name: name, tid: len(tl.tracks) + 1}
+	t := &Track{tl: tl, name: name, tid: len(tl.tracks) + 1}
 	tl.tracks = append(tl.tracks, t)
 	return t
 }
@@ -58,14 +63,17 @@ type span struct {
 	start, end sim.Time
 }
 
-// instant is a point event on a track.
+// instant is a point event on a track. seq is its place in the
+// timeline-wide recording order, which WriteText follows across tracks.
 type instant struct {
 	name string
 	at   sim.Time
+	seq  uint64
 }
 
 // Track is one timeline row. Methods are no-ops on a nil receiver.
 type Track struct {
+	tl       *Timeline
 	name     string
 	tid      int
 	spans    []span
@@ -112,7 +120,8 @@ func (t *Track) Mark(name string, at sim.Time) {
 	if t == nil {
 		return
 	}
-	t.instants = append(t.instants, instant{name: name, at: at})
+	t.instants = append(t.instants, instant{name: name, at: at, seq: t.tl.marks})
+	t.tl.marks++
 }
 
 // traceEvent is one entry in the Chrome trace_event "traceEvents" array.
@@ -225,6 +234,75 @@ func (tl *Timeline) ChromeTrace() ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// WriteText renders the timeline's instants as a text table: one column
+// per track that records instants, headed by the track's name, and one
+// row per instant, stamped with its time, in recording order across
+// tracks. Tracks holding only spans get no column. maxRows > 0 truncates
+// the table after that many rows.
+func (tl *Timeline) WriteText(w io.Writer, maxRows int) error {
+	if tl == nil {
+		return fmt.Errorf("metrics: WriteText on a nil timeline")
+	}
+	type row struct {
+		col int
+		in  instant
+	}
+	var cols []string
+	var rows []row
+	for _, t := range tl.tracks {
+		if len(t.instants) == 0 {
+			continue
+		}
+		for _, in := range t.instants {
+			rows = append(rows, row{col: len(cols), in: in})
+		}
+		cols = append(cols, t.name)
+	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].in.seq < rows[j].in.seq })
+	truncated := maxRows > 0 && len(rows) > maxRows
+	if truncated {
+		rows = rows[:maxRows]
+	}
+
+	// cells[0] is the stamp column; cells[1+i] is track column i.
+	cells := append([]string{"cycle"}, cols...)
+	widths := make([]int, len(cells))
+	for i, c := range cells {
+		widths[i] = len(c)
+	}
+	for _, r := range rows {
+		widths[0] = max(widths[0], len(strconv.FormatUint(uint64(r.in.at), 10)))
+		widths[1+r.col] = max(widths[1+r.col], len(r.in.name))
+	}
+	bw := bufio.NewWriter(w)
+	var ln []byte
+	line := func() {
+		ln = ln[:0]
+		for i, c := range cells {
+			ln = fmt.Appendf(ln, "%-*s", widths[i]+2, c)
+		}
+		ln = append(bytes.TrimRight(ln, " "), '\n')
+		bw.Write(ln) //nolint:errcheck // bufio keeps the first error for Flush
+	}
+	line()
+	for i := range cells {
+		cells[i] = strings.Repeat("-", widths[i])
+	}
+	line()
+	for _, r := range rows {
+		for i := range cells {
+			cells[i] = ""
+		}
+		cells[0] = strconv.FormatUint(uint64(r.in.at), 10)
+		cells[1+r.col] = r.in.name
+		line()
+	}
+	if truncated {
+		bw.WriteString("... (truncated)\n") //nolint:errcheck // as above
+	}
+	return bw.Flush()
 }
 
 // SpanCount returns the total number of completed spans (0 on nil) —

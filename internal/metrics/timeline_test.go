@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"weakorder/internal/sim"
@@ -169,5 +170,93 @@ func TestChromeTraceDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(o1, o2) {
 		t.Error("equal timelines must export identical bytes")
+	}
+}
+
+// textLines renders the timeline as text and splits it into lines.
+func textLines(t *testing.T, tl *Timeline, maxRows int) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tl.WriteText(&buf, maxRows); err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+}
+
+// TestWriteTextRendering: one column per track that records instants,
+// headed by its name; every instant is a row stamped with its time, its
+// name in its track's column; span-only tracks get no column; maxRows
+// truncates and says so.
+func TestWriteTextRendering(t *testing.T) {
+	tl := NewTimeline()
+	p0 := tl.Track("proc 0")
+	p1 := tl.Track("proc 1")
+	d0 := tl.Track("dir 0")
+	p0.Mark("P0.0:W[data]=42", 22)
+	d0.Span("pending:GetX", 20, 30)
+	p1.Mark("P1.0:SR[flag]->1", 31)
+	p1.Mark("P1.1:R[data]->42", 1007)
+
+	want := []string{
+		"cycle  proc 0           proc 1",
+		"-----  ---------------  ----------------",
+		"22     P0.0:W[data]=42",
+		"31                      P1.0:SR[flag]->1",
+		"1007                    P1.1:R[data]->42",
+	}
+	if got := textLines(t, tl, 0); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("text rendering:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	short := textLines(t, tl, 2)
+	if len(short) != 5 || short[4] != "... (truncated)" || !strings.HasPrefix(short[3], "31 ") {
+		t.Errorf("maxRows=2 rendering:\n%s", strings.Join(short, "\n"))
+	}
+	if got := textLines(t, tl, 3); got[len(got)-1] == "... (truncated)" {
+		t.Error("a table that fits in maxRows must not say it was truncated")
+	}
+	if err := (*Timeline)(nil).WriteText(&bytes.Buffer{}, 0); err == nil {
+		t.Error("WriteText on a nil timeline must error")
+	}
+}
+
+// TestWriteTextInterleaving: rows follow the timeline-wide recording
+// order, so an instant on one track lands between the instants recorded
+// before and after it on another, and a same-cycle tie keeps the order
+// in which the two were recorded.
+func TestWriteTextInterleaving(t *testing.T) {
+	tl := NewTimeline()
+	p0 := tl.Track("proc 0")
+	f := tl.Track("faults")
+	f.Mark("DROP GetX 0->3", 4)
+	p0.Mark("P0.0:W[x]=1", 9)
+	f.Mark("DELAY GetS 0->2 +12", 9) // same cycle, recorded after the commit
+	f.Mark("RETRY GetX 0->3 attempt=1", 12)
+	p0.Mark("P0.1:R[x]->1", 12) // same cycle, recorded after the retry
+
+	got := textLines(t, tl, 0)
+	if got[0] != "cycle  proc 0        faults" {
+		t.Fatalf("header %q", got[0])
+	}
+	want := [][2]string{
+		{"4", "DROP GetX 0->3"},
+		{"9", "P0.0:W[x]=1"},
+		{"9", "DELAY GetS 0->2 +12"},
+		{"12", "RETRY GetX 0->3 attempt=1"},
+		{"12", "P0.1:R[x]->1"},
+	}
+	body := got[2:]
+	if len(body) != len(want) {
+		t.Fatalf("got %d rows, want %d:\n%s", len(body), len(want), strings.Join(got, "\n"))
+	}
+	for i, w := range want {
+		if f := strings.Fields(body[i]); len(f) < 2 || f[0] != w[0] || strings.Join(f[1:], " ") != w[1] {
+			t.Errorf("row %d = %q, want stamp %s and cell %q", i, body[i], w[0], w[1])
+		}
+	}
+	// Fault cells sit in the faults column, commits in proc 0's.
+	col := strings.Index(got[0], "faults")
+	if strings.Index(body[0], "DROP") != col || strings.Index(body[1], "P0.0") != strings.Index(got[0], "proc 0") {
+		t.Errorf("cells out of their columns:\n%s", strings.Join(got, "\n"))
 	}
 }

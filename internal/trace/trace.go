@@ -1,8 +1,7 @@
 // Package trace analyzes machine executions (commit-ordered operation
 // traces): it verifies the per-location ordering invariants the paper's
-// Section 5.1 conditions promise — write serialization (condition 2),
-// synchronization atomicity (condition 3) — and renders executions in
-// the paper's figure style (one column per processor, time flowing down).
+// Section 5.1 conditions promise — write serialization (condition 2) and
+// synchronization atomicity (condition 3).
 //
 // The checkers run on *any* execution, so tests apply them to every
 // simulator run: a protocol bug that breaks coherence fails these checks
@@ -11,9 +10,7 @@ package trace
 
 import (
 	"fmt"
-	"strings"
 
-	"weakorder/internal/faults"
 	"weakorder/internal/mem"
 )
 
@@ -126,11 +123,10 @@ func findOwnWrite(ws []mem.Op, op mem.Op) (int, error) {
 	return 0, fmt.Errorf("trace: op %v not in write order", op)
 }
 
-// CheckIndices verifies the trace is well formed: per-processor indices
-// are unique and, within each processor, commit order respects program
-// order for operations the processor completed in order... indices must
-// simply be unique and non-negative per processor; gaps are allowed
-// (reads forwarded from the write buffer commit before the write).
+// CheckIndices verifies the trace is well formed: every operation's
+// per-processor index is non-negative and no (processor, index) pair
+// commits twice. Commit order is not checked against program order: a
+// read forwarded from the write buffer commits before the older write.
 func CheckIndices(e *mem.Execution) error {
 	seen := make(map[mem.OpID]bool)
 	for _, op := range e.Ops {
@@ -166,125 +162,4 @@ func summarizeWrites(ws []mem.Op) []string {
 		out[i] = fmt.Sprintf("%s=%d", w.ID(), w.Data)
 	}
 	return out
-}
-
-// Timeline renders an execution in the paper's figure style: one column
-// per processor, operations in commit order flowing down, a cycle stamp
-// on the left, and the fault injector's DROP/DUP/DELAY/RETRY events (nil
-// when the run had none) as full-width rows between the operations they
-// fell between. opCycles is the commit cycle of each e.Ops entry
-// (machine.RunResult.OpCycles); when its length does not match,
-// operations render without stamps and the events are appended at the
-// end. Boundary (augmentation) operations are skipped. maxRows truncates
-// (0 = unlimited).
-func Timeline(e *mem.Execution, opCycles []uint64, events []faults.Event, maxRows int) string {
-	procs := e.Procs
-	if procs == 0 {
-		for _, op := range e.Ops {
-			if op.Proc >= procs {
-				procs = op.Proc + 1
-			}
-		}
-	}
-	aligned := len(opCycles) == len(e.Ops)
-	const colWidth = 14
-	const stampWidth = 9
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-*s", stampWidth, "cycle")
-	for p := 0; p < procs; p++ {
-		fmt.Fprintf(&b, "%-*s", colWidth, fmt.Sprintf("P%d", p))
-	}
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "%-*s", stampWidth, strings.Repeat("-", stampWidth-2))
-	for p := 0; p < procs; p++ {
-		fmt.Fprintf(&b, "%-*s", colWidth, strings.Repeat("-", colWidth-2))
-	}
-	b.WriteByte('\n')
-
-	rows := 0
-	truncated := func() bool {
-		if maxRows > 0 && rows >= maxRows {
-			b.WriteString("... (truncated)\n")
-			return true
-		}
-		rows++
-		return false
-	}
-	emitEvent := func(ev faults.Event) bool {
-		if truncated() {
-			return false
-		}
-		fmt.Fprintf(&b, "%-*s! %s %s", stampWidth, fmt.Sprintf("%d", uint64(ev.At)), ev.Kind, ev.Describe())
-		b.WriteByte('\n')
-		return true
-	}
-	emitOp := func(i int, op mem.Op) bool {
-		if op.Proc < 0 || op.Proc >= procs {
-			return true
-		}
-		if truncated() {
-			return false
-		}
-		stamp := ""
-		if aligned {
-			stamp = fmt.Sprintf("%d", opCycles[i])
-		}
-		fmt.Fprintf(&b, "%-*s", stampWidth, stamp)
-		for p := 0; p < procs; p++ {
-			cell := ""
-			if p == op.Proc {
-				cell = cellFor(op)
-			}
-			fmt.Fprintf(&b, "%-*s", colWidth, cell)
-		}
-		b.WriteByte('\n')
-		return true
-	}
-
-	// Both streams are time-sorted (ops by commit, events by injection
-	// decision); merge them. Ties render the event first: the fault was
-	// decided before the commit at the same cycle completed.
-	ei := 0
-	for i, op := range e.Ops {
-		if aligned {
-			for ei < len(events) && uint64(events[ei].At) <= opCycles[i] {
-				if !emitEvent(events[ei]) {
-					return b.String()
-				}
-				ei++
-			}
-		}
-		if !emitOp(i, op) {
-			return b.String()
-		}
-	}
-	for ; ei < len(events); ei++ {
-		if !emitEvent(events[ei]) {
-			return b.String()
-		}
-	}
-	return b.String()
-}
-
-// cellFor renders one op compactly, figure style: W(x)=1, R(y)->0, S(s).
-func cellFor(op mem.Op) string {
-	loc := op.Label
-	if loc == "" {
-		loc = fmt.Sprintf("%d", op.Addr)
-	}
-	switch op.Kind {
-	case mem.Read:
-		return fmt.Sprintf("R(%s)->%d", loc, op.Got)
-	case mem.Write:
-		return fmt.Sprintf("W(%s)=%d", loc, op.Data)
-	case mem.SyncRead:
-		return fmt.Sprintf("Test(%s)->%d", loc, op.Got)
-	case mem.SyncWrite:
-		return fmt.Sprintf("Set(%s)=%d", loc, op.Data)
-	case mem.SyncRMW:
-		return fmt.Sprintf("TAS(%s)->%d", loc, op.Got)
-	default:
-		return op.String()
-	}
 }

@@ -1,11 +1,8 @@
 package trace
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
-	"weakorder/internal/faults"
 	"weakorder/internal/litmus"
 	"weakorder/internal/machine"
 	"weakorder/internal/mem"
@@ -158,74 +155,5 @@ func TestInvariantsHoldOnAllMachineRuns(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestTimelineRendering(t *testing.T) {
-	// Nil events: the fault-free rendering of a plain run still carries
-	// the cycle column.
-	res, err := machine.Run(litmus.MessagePassing(), machine.Config{
-		Policy: policy.WODef2, Topology: machine.TopoNetwork, Caches: true,
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tl := Timeline(res.Exec, res.OpCycles, nil, 0)
-	for _, want := range []string{"cycle", "P0", "P1", "W(data)=42", "Set(flag)=1", "R(data)->42",
-		fmt.Sprintf("%d", res.OpCycles[len(res.OpCycles)-1])} {
-		if !strings.Contains(tl, want) {
-			t.Errorf("timeline missing %q:\n%s", want, tl)
-		}
-	}
-	// Truncation.
-	if short := Timeline(res.Exec, res.OpCycles, nil, 2); !strings.Contains(short, "truncated") {
-		t.Error("truncated timeline must say so")
-	}
-}
-
-func TestTimelineEventsInterleaving(t *testing.T) {
-	plan := faults.Severe()
-	res, err := machine.Run(litmus.MessagePassing(), machine.Config{
-		Policy: policy.WODef2, Topology: machine.TopoNetwork, Caches: true,
-		Faults: &plan, RecordFaultEvents: true,
-	}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.FaultEvents) == 0 {
-		t.Fatal("severe plan recorded no fault events; test is vacuous")
-	}
-	tl := Timeline(res.Exec, res.OpCycles, res.FaultEvents, 0)
-	if !strings.Contains(tl, "cycle") {
-		t.Errorf("timeline missing cycle column header:\n%s", tl)
-	}
-	for _, ev := range res.FaultEvents {
-		if !strings.Contains(tl, ev.Kind.String()+" "+ev.Describe()) {
-			t.Errorf("timeline missing fault event %v:\n%s", ev, tl)
-		}
-	}
-	for _, want := range []string{"W(data)=42", "R(data)->42"} {
-		if !strings.Contains(tl, want) {
-			t.Errorf("timeline missing op %q:\n%s", want, tl)
-		}
-	}
-	// Events are placed at (or before) the first commit row that follows
-	// them: the rendering must not sort an event after an op committed
-	// many cycles later than a later op... pin ordering: the line for the
-	// first event precedes the line for the last committed op.
-	first := strings.Index(tl, res.FaultEvents[0].Kind.String())
-	lastOp := strings.LastIndex(tl, "R(data)->42")
-	if first == -1 || lastOp == -1 || first > lastOp {
-		t.Errorf("first fault event not interleaved before the final op:\n%s", tl)
-	}
-	// Mismatched opCycles falls back to appending events at the end.
-	fallback := Timeline(res.Exec, nil, res.FaultEvents, 0)
-	if !strings.Contains(fallback, res.FaultEvents[0].Kind.String()) {
-		t.Error("fallback rendering lost the fault events")
-	}
-	// Truncation.
-	short := Timeline(res.Exec, res.OpCycles, res.FaultEvents, 2)
-	if !strings.Contains(short, "truncated") {
-		t.Error("truncated timeline must say so")
 	}
 }

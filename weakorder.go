@@ -129,9 +129,12 @@ type (
 	// when MachineConfig.Metrics is set; CampaignSummary.Metrics()).
 	// Export with JSON or Prometheus.
 	Metrics = metrics.Snapshot
-	// Timeline is the per-processor/per-directory event timeline
-	// (RunResult.Timeline when MachineConfig.Timeline is set). Export
-	// with ChromeTrace (Perfetto / chrome://tracing compatible).
+	// Timeline is the run's event timeline: per-processor and
+	// per-directory tracks, plus the fault injector's decisions on a
+	// "faults" track under a fault plan (RunResult.Timeline when
+	// MachineConfig.Timeline is set). Export with ChromeTrace (Perfetto /
+	// chrome://tracing compatible) or WriteText (the table `wosim -trace`
+	// prints).
 	Timeline = metrics.Timeline
 
 	// FaultPlan configures the deterministic interconnect fault injector
@@ -139,8 +142,6 @@ type (
 	// request-class coherence messages. Same (plan, seed) replays
 	// identically.
 	FaultPlan = faults.Plan
-	// FaultEvent is one injected fault or noted protocol retry.
-	FaultEvent = faults.Event
 	// FaultStats counts injector activity over a run.
 	FaultStats = faults.Stats
 	// LivenessReport is the structured outcome of a watchdog death:
