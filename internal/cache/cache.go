@@ -89,19 +89,17 @@ type Config struct {
 	// RetryTimeout arms the request-retry protocol: a request-class
 	// message (GetS, GetX, SyncRead, PutX) unanswered after this many
 	// cycles is re-sent with the same transaction id, with exponential
-	// backoff between attempts. Zero disables retry. Required when the
-	// interconnect may drop requests (fault injection); harmless
-	// otherwise — a spurious retry of a request queued at a busy
-	// directory line is absorbed by the directory's dedup.
+	// backoff between attempts, capped at 8*RetryTimeout. Zero disables
+	// retry. Required when the interconnect may drop requests (fault
+	// injection); harmless otherwise — a spurious retry of a request
+	// queued at a busy directory line is absorbed by the directory's
+	// dedup.
 	RetryTimeout sim.Time
 	// RetryMax bounds resends per transaction (default 16 when
 	// RetryTimeout > 0). An exhausted transaction stops retrying and is
 	// reported via ExhaustedLines; if it was genuinely lost the machine's
 	// watchdog turns that into a LivenessReport.
 	RetryMax int
-	// RetryBackoffCap caps the exponential backoff (default
-	// 8*RetryTimeout).
-	RetryBackoffCap sim.Time
 	// OnRetry observes every resend: destination endpoint, the re-sent
 	// message, and the attempt number (1-based). Used to interleave
 	// RETRY events into fault timelines. Optional.
@@ -320,14 +318,7 @@ func New(k *sim.Kernel, net network.Network, cfg Config) *Cache {
 		net: net,
 		cfg: cfg,
 	}
-	if c.cfg.RetryTimeout > 0 {
-		if c.cfg.RetryMax == 0 {
-			c.cfg.RetryMax = 16
-		}
-		if c.cfg.RetryBackoffCap == 0 {
-			c.cfg.RetryBackoffCap = 8 * c.cfg.RetryTimeout
-		}
-	}
+	c.Reset(cfg.RetryTimeout, cfg.RetryMax)
 	net.Attach(cfg.ID, c.handle)
 	return c
 }
@@ -370,12 +361,8 @@ func (c *Cache) Reset(retryTimeout sim.Time, retryMax int) {
 	c.noteBusy()
 	c.cfg.RetryTimeout = retryTimeout
 	c.cfg.RetryMax = retryMax
-	c.cfg.RetryBackoffCap = 0
-	if c.cfg.RetryTimeout > 0 {
-		if c.cfg.RetryMax == 0 {
-			c.cfg.RetryMax = 16
-		}
-		c.cfg.RetryBackoffCap = 8 * c.cfg.RetryTimeout
+	if retryTimeout > 0 && retryMax == 0 {
+		c.cfg.RetryMax = 16
 	}
 }
 
@@ -1166,10 +1153,7 @@ func (c *Cache) retryTick(now sim.Time, dst int, rs *retryState) {
 		c.cfg.OnRetry(dst, rs.lastMsg, rs.attempts)
 	}
 	c.net.Send(c.cfg.ID, dst, rs.lastMsg)
-	timeout := c.cfg.RetryTimeout << uint(rs.attempts)
-	if timeout > c.cfg.RetryBackoffCap {
-		timeout = c.cfg.RetryBackoffCap
-	}
+	timeout := min(c.cfg.RetryTimeout<<uint(rs.attempts), 8*c.cfg.RetryTimeout)
 	c.cfg.RetryBackoff.Observe(uint64(timeout))
 	rs.deadline = now + timeout
 }

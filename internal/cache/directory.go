@@ -46,7 +46,8 @@ func (s DirState) String() string {
 type DirMode uint8
 
 const (
-	// DirFullMap keeps one presence bit per processor (exact sharers).
+	// DirFullMap keeps one presence bit per processor (exact sharers):
+	// a coarse vector whose groups hold one processor each.
 	DirFullMap DirMode = iota
 	// DirLimitedPtr keeps up to Pointers sharer identities (Dir_i); on
 	// pointer overflow the line degrades to broadcast — an exclusive
@@ -109,9 +110,8 @@ var pendingNames = [...]string{
 type dirLine struct {
 	addr  mem.Addr
 	state DirState
-	// sharers is the presence bit-vector: one bit per processor under
-	// DirFullMap, one bit per processor group under DirCoarseVector, nil
-	// under DirLimitedPtr.
+	// sharers is the presence bit-vector, one bit per processor group
+	// (groups of one under DirFullMap); nil under DirLimitedPtr.
 	sharers *bitset.Set
 	// ptrs holds the sharer pointers under DirLimitedPtr, sorted
 	// ascending; bcast marks pointer overflow (every processor is a
@@ -162,14 +162,8 @@ type DirConfig struct {
 	// Pointers is the sharer-pointer count for DirLimitedPtr (default 4).
 	Pointers int
 	// Coarseness is the processors-per-group size for DirCoarseVector
-	// (default 8).
+	// (default 8); DirFullMap uses groups of one.
 	Coarseness int
-	// NoDedup disables the per-line served-transaction set. Duplicate
-	// request-class messages only exist when the interconnect is faulted
-	// or cache retries are armed; a machine that runs with neither can
-	// skip the bookkeeping, keeping the steady-state request path free of
-	// map inserts (and thus allocation-free).
-	NoDedup bool
 
 	// Telemetry (optional; see internal/metrics). Never alters protocol
 	// behavior.
@@ -199,7 +193,7 @@ func (t *replyTask) fire() {
 	d.net.Send(d.cfg.ID, dst, m)
 }
 
-// Directory is one memory module with a full-map directory. It serializes
+// Directory is one memory module and its directory. It serializes
 // transactions per line: a request arriving while the line has a pending
 // transaction queues until the transaction completes.
 type Directory struct {
@@ -215,7 +209,10 @@ type Directory struct {
 	// polled every cycle by the machine's termination check — O(1)
 	// instead of a scan over all lines.
 	busyLines int
-	stats     DirStats
+	// noDedup disables the per-line served-transaction set for the
+	// current run (see Reset).
+	noDedup bool
+	stats   DirStats
 	// reqCounts densely counts processed requests by message kind;
 	// Stats() materializes the name-keyed map from it on demand, keeping
 	// the per-message path allocation- and hash-free.
@@ -258,7 +255,9 @@ func NewDirectory(k *sim.Kernel, net network.Network, cfg DirConfig) *Directory 
 	if cfg.Pointers <= 0 {
 		cfg.Pointers = 4
 	}
-	if cfg.Coarseness <= 0 {
+	if cfg.Mode == DirFullMap {
+		cfg.Coarseness = 1
+	} else if cfg.Coarseness <= 0 {
 		cfg.Coarseness = 8
 	}
 	d := &Directory{
@@ -266,16 +265,12 @@ func NewDirectory(k *sim.Kernel, net network.Network, cfg DirConfig) *Directory 
 		net: net,
 		cfg: cfg,
 	}
+	d.Reset(false)
 	net.Attach(cfg.ID, d.handle)
 	return d
 }
 
-// SetNoDedup flips duplicate-request tracking for the next run. A pooled
-// machine re-derives it on Reset: retry arming is a per-run knob, and a
-// retry-armed run must dedup while a clean run may skip the bookkeeping.
-func (d *Directory) SetNoDedup(v bool) { d.cfg.NoDedup = v }
-
-// groups returns the presence-vector width for DirCoarseVector.
+// groups returns the presence-vector width.
 func (d *Directory) groups() int {
 	return (d.cfg.NumProcs + d.cfg.Coarseness - 1) / d.cfg.Coarseness
 }
@@ -285,12 +280,19 @@ func (d *Directory) groups() int {
 // and pooled reply tasks are retained. The caller guarantees the kernel
 // is drained (no replies in flight) and that the processor count is
 // unchanged (arena bitsets are sized for it).
-func (d *Directory) Reset() {
+//
+// noDedup disables the per-line served-transaction set for the run.
+// Duplicate request-class messages only exist when the interconnect is
+// faulted or cache retries are armed; a run with neither can skip the
+// bookkeeping, keeping the steady-state request path free of map
+// inserts (and thus allocation-free).
+func (d *Directory) Reset(noDedup bool) {
 	clear(d.lineIdx)
 	d.lineN = 0
 	d.busyLines = 0
 	d.stats = DirStats{}
 	clear(d.reqCounts[:])
+	d.noDedup = noDedup
 }
 
 // lookup returns the line for a, or nil when the directory has never
@@ -330,24 +332,16 @@ func (d *Directory) newLine() *dirLine {
 	d.lineN++
 	l := &d.lineChunks[ci][li]
 	sharers, ptrs, queue, served := l.sharers, l.ptrs[:0], l.queue[:0], l.served
-	switch d.cfg.Mode {
-	case DirLimitedPtr:
+	switch {
+	case d.cfg.Mode == DirLimitedPtr:
 		sharers = nil
 		if ptrs == nil {
 			ptrs = make([]int32, 0, d.cfg.Pointers)
 		}
-	case DirCoarseVector:
-		if sharers == nil {
-			sharers = bitset.New(d.groups())
-		} else {
-			sharers.Clear()
-		}
+	case sharers == nil:
+		sharers = bitset.New(d.groups())
 	default:
-		if sharers == nil {
-			sharers = bitset.New(d.cfg.NumProcs)
-		} else {
-			sharers.Clear()
-		}
+		sharers.Clear()
 	}
 	if served != nil {
 		clear(served)
@@ -358,8 +352,9 @@ func (d *Directory) newLine() *dirLine {
 
 // ---------------------------------------------------------------------------
 // Sharer tracking. All writes to a line's sharer set go through these
-// helpers so the three modes stay interchangeable: full-map is exact,
-// limited-pointer and coarse-vector are conservative over-approximations
+// helpers so the three modes stay interchangeable: full-map (the coarse
+// vector with groups of one) is exact, limited-pointer and coarse-vector
+// with larger groups are conservative over-approximations
 // (they may list processors that do not hold the line, never the
 // reverse), which keeps invalidation complete in every mode.
 
@@ -383,10 +378,8 @@ func (d *Directory) addSharer(l *dirLine, src int) {
 		l.ptrs = l.ptrs[:0]
 		l.bcast = true
 		d.stats.PtrOverflows++
-	case DirCoarseVector:
-		l.sharers.Add(src / d.cfg.Coarseness)
 	default:
-		l.sharers.Add(src)
+		l.sharers.Add(src / d.cfg.Coarseness)
 	}
 }
 
@@ -413,9 +406,7 @@ func (d *Directory) countInvTargets(l *dirLine, exclude int) int {
 }
 
 // forEachInvTarget calls fn for each potential sharer other than
-// exclude, in ascending processor order (the full-map iteration order,
-// preserved so full-map behavior is byte-identical to the pre-mode
-// directory).
+// exclude, in ascending processor order.
 func (d *Directory) forEachInvTarget(l *dirLine, exclude int, fn func(p int)) {
 	switch d.cfg.Mode {
 	case DirLimitedPtr:
@@ -432,23 +423,13 @@ func (d *Directory) forEachInvTarget(l *dirLine, exclude int, fn func(p int)) {
 				fn(int(p))
 			}
 		}
-	case DirCoarseVector:
+	default:
 		l.sharers.ForEach(func(g int) bool {
-			lo, hi := g*d.cfg.Coarseness, (g+1)*d.cfg.Coarseness
-			if hi > d.cfg.NumProcs {
-				hi = d.cfg.NumProcs
-			}
+			lo, hi := g*d.cfg.Coarseness, min((g+1)*d.cfg.Coarseness, d.cfg.NumProcs)
 			for p := lo; p < hi; p++ {
 				if p != exclude {
 					fn(p)
 				}
-			}
-			return true
-		})
-	default:
-		l.sharers.ForEach(func(p int) bool {
-			if p != exclude {
-				fn(p)
 			}
 			return true
 		})
@@ -567,7 +548,7 @@ func (d *Directory) handle(src int, m network.Msg) {
 // because replies travel unfaulted: the single accepted copy's reply
 // reaches the requester.
 func (d *Directory) duplicate(a mem.Addr, src int, id uint64) bool {
-	if id == 0 || d.cfg.NoDedup {
+	if id == 0 || d.noDedup {
 		return false // hand-assembled test message or dedup disabled
 	}
 	l := d.line(a)

@@ -259,8 +259,8 @@ func (t *delayTask) fire() {
 // New wraps inner with the fault plan, seeding the decision stream from
 // seed.
 func New(k *sim.Kernel, inner network.Network, plan Plan, seed uint64, hooks Hooks) *Net {
-	n := &Net{k: k, inner: inner, plan: plan, hooks: hooks}
-	n.rng.Reseed(seed)
+	n := &Net{k: k, inner: inner, hooks: hooks}
+	n.Reset(plan, seed)
 	return n
 }
 

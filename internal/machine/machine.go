@@ -75,9 +75,6 @@ type Config struct {
 	// of the directory protocol; requires Caches and TopoBus. Reserved
 	// lines NACK (bus-retry) other processors' transactions.
 	Snoop bool
-	// MemModules is the number of memory/directory modules (default: 2
-	// for TopoNetwork, 1 for TopoBus). Addresses interleave modulo this.
-	MemModules int
 	// BusLatency is the per-message bus occupancy (default 3).
 	BusLatency sim.Time
 	// NetBase/NetJitter parameterize the general network (defaults 6/4).
@@ -117,8 +114,8 @@ type Config struct {
 	// (the snoopy bus has no message layer to fault).
 	Faults *faults.Plan
 	// RetryTimeout overrides the caches' request-retry timeout (default
-	// 256 cycles when a fault plan is enabled, else retry is off). See
-	// cache.Config.RetryTimeout.
+	// 256 cycles when a fault plan is enabled, else retry is off; a plan's
+	// DisableRetry turns it off). See cache.Config.RetryTimeout.
 	RetryTimeout sim.Time
 	// RetryMax overrides the per-transaction resend bound (default 16).
 	RetryMax int
@@ -174,18 +171,21 @@ const (
 	cacheHit   sim.Time = 1 // cache hit latency
 )
 
+// memModules is the topology's number of memory/directory modules:
+// addresses interleave across them modulo this count.
+func (t Topology) memModules() int {
+	switch t {
+	case TopoNetwork:
+		return 2
+	case TopoMesh:
+		return 4
+	default:
+		return 1
+	}
+}
+
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
-	if c.MemModules == 0 {
-		switch c.Topology {
-		case TopoNetwork:
-			c.MemModules = 2
-		case TopoMesh:
-			c.MemModules = 4
-		default:
-			c.MemModules = 1
-		}
-	}
 	if c.DirPointers == 0 {
 		c.DirPointers = 4
 	}
@@ -210,7 +210,10 @@ func (c Config) withDefaults() Config {
 	if c.MaxCycles == 0 {
 		c.MaxCycles = 2_000_000
 	}
-	if c.faultsEnabled() && !c.Faults.DisableRetry && c.RetryTimeout == 0 {
+	switch {
+	case c.Faults != nil && c.Faults.DisableRetry:
+		c.RetryTimeout = 0
+	case c.faultsEnabled() && c.RetryTimeout == 0:
 		// Generous relative to the worst fault-free round trip (base +
 		// jitter + injected delay, twice, plus directory queueing):
 		// premature retries are only absorbed duplicates, but a timeout
@@ -247,8 +250,24 @@ func (c Config) Validate() error {
 	if c.DirMode != cache.DirFullMap && !c.Caches {
 		return fmt.Errorf("machine: directory mode %v requires Caches", c.DirMode)
 	}
-	if c.DirPointers < 0 || c.DirCoarseness < 0 {
-		return fmt.Errorf("machine: DirPointers/DirCoarseness must be non-negative")
+	if c.Topology < TopoBus || c.Topology > TopoMesh {
+		return fmt.Errorf("machine: unknown topology %v", c.Topology)
+	}
+	for _, f := range []struct {
+		name string
+		n    int
+	}{
+		{"DirPointers", c.DirPointers},
+		{"DirCoarseness", c.DirCoarseness},
+		{"CacheCapacity", c.CacheCapacity},
+		{"WriteBuffer", c.WriteBuffer},
+		{"MaxOutstandingWrites", c.MaxOutstandingWrites},
+		{"RetryMax", c.RetryMax},
+		{"ExtraProcs", c.ExtraProcs},
+	} {
+		if f.n < 0 {
+			return fmt.Errorf("machine: %s must be non-negative, got %d", f.name, f.n)
+		}
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
@@ -404,22 +423,42 @@ type Machine struct {
 }
 
 // New assembles a machine for prog under cfg, seeding all randomized
-// latencies from seed.
+// latencies from seed: it builds the component graph, then loads the run
+// the way Reset does.
 func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
+	cfg, nProcs, err := prepare(prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	m := &Machine{cfg: cfg, kernel: &sim.Kernel{}}
+	m.build(nProcs)
+	m.load(prog, cfg, seed)
+	return m, nil
+}
+
+// prepare fills cfg's defaults, validates it with prog, and returns the
+// processor count.
+func prepare(prog *program.Program, cfg Config) (Config, int, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return cfg, 0, err
 	}
 	if err := prog.Validate(); err != nil {
-		return nil, err
+		return cfg, 0, err
 	}
 	nProcs := prog.NumThreads() + cfg.ExtraProcs
-	m := &Machine{
-		cfg:    cfg,
-		prog:   prog,
-		kernel: &sim.Kernel{},
+	for _, mg := range cfg.Migrations {
+		if mg.From < 0 || mg.From >= nProcs || mg.To < 0 || mg.To >= nProcs || mg.From == mg.To {
+			return cfg, 0, fmt.Errorf("machine: invalid migration %+v (have %d processors)", mg, nProcs)
+		}
 	}
-	m.arb.seed(seed)
+	return cfg, nProcs, nil
+}
+
+// build assembles the component graph for nProcs processors under m.cfg:
+// everything poolKey fixes. The per-run state is load's.
+func (m *Machine) build(nProcs int) {
+	cfg := m.cfg
 	if cfg.Metrics {
 		m.reg = metrics.NewRegistry()
 	}
@@ -437,9 +476,6 @@ func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
 			TransferLatency: cfg.BusLatency,
 			MemLatency:      memLatency,
 		})
-		for a, v := range prog.Init {
-			m.snoopBus.SetInit(a, v)
-		}
 		for i := 0; i < nProcs; i++ {
 			sc := snoop.NewCache(m.kernel, m.snoopBus, snoop.Config{
 				HitLatency:   cacheHit,
@@ -450,9 +486,11 @@ func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
 			m.snoopCaches = append(m.snoopCaches, sc)
 			m.ports = append(m.ports, sc)
 		}
-		return m.finishProcs(prog, nProcs)
+		m.buildProcs(nProcs)
+		return
 	}
 
+	modules := cfg.Topology.memModules()
 	switch cfg.Topology {
 	case TopoBus:
 		m.net = network.NewBus(m.kernel, network.BusConfig{
@@ -466,48 +504,40 @@ func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
 			// The directory protocol requires point-to-point FIFO; the
 			// raw (no-cache) configuration exhibits Lamport's reordering.
 			OrderedPairs: cfg.Caches,
-			Seed:         seed,
 			Telemetry:    m.netTelemetry(),
 		})
 	case TopoMesh:
-		w, h := meshDims(nProcs + cfg.MemModules)
-		m.net = network.NewMesh(m.kernel, network.MeshConfig{
-			Width:       w,
-			Height:      h,
-			BaseLatency: cfg.NetBase,
-			HopLatency:  meshHop,
-			Telemetry:   m.netTelemetry(),
+		// XY routing: latency grows with hop distance, every pair stays
+		// FIFO, and without jitter nothing is drawn from the stream.
+		w, h := meshDims(nProcs + modules)
+		m.net = network.NewGeneral(m.kernel, network.GeneralConfig{
+			Width:        w,
+			Height:       h,
+			BaseLatency:  cfg.NetBase,
+			HopLatency:   meshHop,
+			OrderedPairs: true,
+			Telemetry:    m.netTelemetry(),
 		})
-	default:
-		return nil, fmt.Errorf("machine: unknown topology %v", cfg.Topology)
 	}
 	m.rawNet = m.net
 
 	if cfg.faultsEnabled() {
 		// Wrap the interconnect before any endpoint captures it, so every
-		// component's sends pass through the injector. The fault stream is
-		// derived from (not equal to) the machine seed, so fault decisions
-		// do not correlate with network jitter. With the timeline on, the
-		// decisions land on a track of their own, registered after the
-		// processors'.
-		m.fnet = faults.New(m.kernel, m.net, *cfg.Faults,
-			splitmix.Mix(uint64(seed)^0xfa17),
-			faults.Hooks{
-				Faultable: func(msg network.Msg) bool { return cache.Faultable(msg) },
-				Describe:  func(msg network.Msg) string { return cache.MsgName(msg) },
-				Track:     m.tl.Track("faults"),
-			})
+		// component's sends pass through the injector; load arms the plan.
+		// With the timeline on, the decisions land on a track of their
+		// own, registered after the processors'.
+		m.fnet = faults.New(m.kernel, m.net, faults.Plan{}, 0, faults.Hooks{
+			Faultable: func(msg network.Msg) bool { return cache.Faultable(msg) },
+			Describe:  func(msg network.Msg) string { return cache.MsgName(msg) },
+			Track:     m.tl.Track("faults"),
+		})
 		m.net = m.fnet
 	}
 
-	home := func(a mem.Addr) int { return nProcs + int(a)%cfg.MemModules }
+	home := func(a mem.Addr) int { return nProcs + int(a)%modules }
 
 	if cfg.Caches {
-		retryTimeout := cfg.RetryTimeout
-		if cfg.Faults != nil && cfg.Faults.DisableRetry {
-			retryTimeout = 0
-		}
-		for i := 0; i < cfg.MemModules; i++ {
+		for i := 0; i < modules; i++ {
 			dcfg := cache.DirConfig{
 				ID:         nProcs + i,
 				NumProcs:   nProcs,
@@ -515,11 +545,6 @@ func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
 				Mode:       cfg.DirMode,
 				Pointers:   cfg.DirPointers,
 				Coarseness: cfg.DirCoarseness,
-				// Duplicate request-class messages exist only when the
-				// interconnect is faulted or cache retries are armed; with
-				// neither, skip the served-set bookkeeping so steady-state
-				// request handling stays allocation-free.
-				NoDedup: !cfg.faultsEnabled() && retryTimeout == 0,
 			}
 			if m.reg != nil {
 				dcfg.QueueDepth = m.reg.Histogram(fmt.Sprintf("dir.%d.queue_depth", i), metrics.DepthBounds)
@@ -527,13 +552,7 @@ func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
 			if m.tl != nil {
 				dcfg.Track = m.tl.Track(fmt.Sprintf("dir %d", i))
 			}
-			d := cache.NewDirectory(m.kernel, m.net, dcfg)
-			for a, v := range prog.Init {
-				if home(a) == nProcs+i {
-					d.SetInit(a, v)
-				}
-			}
-			m.dirs = append(m.dirs, d)
+			m.dirs = append(m.dirs, cache.NewDirectory(m.kernel, m.net, dcfg))
 		}
 		for i := 0; i < nProcs; i++ {
 			ccfg := cache.Config{
@@ -544,8 +563,6 @@ func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
 				UseReserve:     cfg.Policy.UsesReserve(),
 				ROSyncBypass:   cfg.Policy.ROSyncBypass(),
 				ROSyncUncached: cfg.ROUncachedTest,
-				RetryTimeout:   retryTimeout,
-				RetryMax:       cfg.RetryMax,
 			}
 			if m.reg != nil {
 				ccfg.ReserveHold = m.reg.Histogram(fmt.Sprintf("cache.%d.reserve_hold", i), metrics.HoldBounds)
@@ -564,21 +581,15 @@ func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
 			m.ports = append(m.ports, c)
 		}
 	} else {
-		for i := 0; i < cfg.MemModules; i++ {
-			mod := newFlatModule(m.kernel, m.net, nProcs+i, memLatency)
-			for a, v := range prog.Init {
-				if home(a) == nProcs+i {
-					mod.mem[a] = v
-				}
-			}
-			m.flats = append(m.flats, mod)
+		for i := 0; i < modules; i++ {
+			m.flats = append(m.flats, newFlatModule(m.kernel, m.net, nProcs+i, memLatency))
 		}
 		for i := 0; i < nProcs; i++ {
 			m.ports = append(m.ports, newFlatPort(m.kernel, m.net, i, home))
 		}
 	}
 
-	return m.finishProcs(prog, nProcs)
+	m.buildProcs(nProcs)
 }
 
 // meshDims picks near-square mesh dimensions for n endpoints: the
@@ -596,21 +607,13 @@ func meshDims(n int) (w, h int) {
 	return w, h
 }
 
-// finishProcs builds the processors over the assembled ports and
-// validates migrations.
-func (m *Machine) finishProcs(prog *program.Program, nProcs int) (*Machine, error) {
-	cfg := m.cfg
+// buildProcs builds the processors over the assembled ports; load sets
+// their configuration and threads.
+func (m *Machine) buildProcs(nProcs int) {
 	m.idleNames = make([]string, nProcs)
 	for i := 0; i < nProcs; i++ {
 		track := m.procTrack(i)
-		p := cpu.New(m.kernel, cpu.Config{
-			ID:                   i,
-			ThreadID:             i,
-			Policy:               cfg.Policy,
-			WriteBufferSize:      cfg.WriteBuffer,
-			MaxOutstandingWrites: cfg.MaxOutstandingWrites,
-			Track:                track,
-		}, m.thread(prog, i), m.ports[i], func(op mem.Op) {
+		p := cpu.New(m.kernel, cpu.Config{}, program.Thread{}, m.ports[i], func(op mem.Op) {
 			m.trace = append(m.trace, op)
 			m.traceCycles = append(m.traceCycles, uint64(m.kernel.Now()))
 			if track != nil {
@@ -619,15 +622,71 @@ func (m *Machine) finishProcs(prog *program.Program, nProcs int) (*Machine, erro
 		})
 		m.procs = append(m.procs, p)
 	}
-	for _, mg := range cfg.Migrations {
-		if mg.From < 0 || mg.From >= nProcs || mg.To < 0 || mg.To >= nProcs || mg.From == mg.To {
-			return nil, fmt.Errorf("machine: invalid migration %+v (have %d processors)", mg, nProcs)
-		}
-	}
 	m.order = make([]int, nProcs)
 	m.live = make([]bool, nProcs)
 	m.act = make([]int, nProcs)
-	return m, nil
+}
+
+// load readies the assembled machine for one run of prog under cfg and
+// seed: every per-run knob and all initial state. New calls it on a
+// fresh graph and Reset on a used one, so a pooled machine runs exactly
+// as a fresh one.
+func (m *Machine) load(prog *program.Program, cfg Config, seed int64) {
+	m.cfg = cfg
+	m.prog = prog
+	m.kernel.Reset()
+	m.arb.seed(seed)
+	m.trace = m.trace[:0]
+	m.traceCycles = m.traceCycles[:0]
+	m.pendingMigrations = nil
+	m.suspending = false
+	m.ffSkips, m.ffCycles = 0, 0
+
+	switch n := m.rawNet.(type) {
+	case *network.General:
+		n.Reset(seed)
+	case *network.Bus:
+		n.Reset()
+	}
+	if m.fnet != nil {
+		// The fault stream is derived from (not equal to) the machine
+		// seed, so fault decisions do not correlate with network jitter.
+		m.fnet.Reset(*cfg.Faults, splitmix.Mix(uint64(seed)^0xfa17))
+	}
+	for _, d := range m.dirs {
+		d.Reset(!cfg.faultsEnabled() && cfg.RetryTimeout == 0)
+	}
+	for _, c := range m.caches {
+		c.Reset(cfg.RetryTimeout, cfg.RetryMax)
+	}
+	for _, mod := range m.flats {
+		mod.reset()
+	}
+	for _, port := range m.ports {
+		if fp, ok := port.(*flatPort); ok {
+			fp.reset()
+		}
+	}
+	for a, v := range prog.Init {
+		switch {
+		case m.snoopBus != nil:
+			m.snoopBus.SetInit(a, v)
+		case cfg.Caches:
+			m.dirs[int(a)%len(m.dirs)].SetInit(a, v)
+		default:
+			m.flats[int(a)%len(m.flats)].mem[a] = v
+		}
+	}
+	for i, p := range m.procs {
+		p.Reset(cpu.Config{
+			ID:                   i,
+			ThreadID:             i,
+			Policy:               cfg.Policy,
+			WriteBufferSize:      cfg.WriteBuffer,
+			MaxOutstandingWrites: cfg.MaxOutstandingWrites,
+			Track:                m.procTrack(i),
+		}, m.thread(prog, i))
+	}
 }
 
 // thread is the program run by processor i: its own thread, or an empty
@@ -830,7 +889,6 @@ func (m *Machine) Run() (*RunResult, error) {
 // a dirty cached copy wins over memory.
 func (m *Machine) finalState() map[mem.Addr]mem.Value {
 	out := make(map[mem.Addr]mem.Value)
-	nProcs := len(m.procs)
 	for _, a := range m.prog.Addresses() {
 		if m.snoopBus != nil {
 			v := m.snoopBus.MemValue(a)
@@ -844,7 +902,7 @@ func (m *Machine) finalState() map[mem.Addr]mem.Value {
 			continue
 		}
 		if m.cfg.Caches {
-			v := m.dirs[int(a)%m.cfg.MemModules].MemValue(a)
+			v := m.dirs[int(a)%len(m.dirs)].MemValue(a)
 			for _, c := range m.caches {
 				if dv, dirty := c.Snoop(a); dirty {
 					v = dv
@@ -853,7 +911,7 @@ func (m *Machine) finalState() map[mem.Addr]mem.Value {
 			}
 			out[a] = v
 		} else {
-			out[a] = m.flats[(nProcs+int(a)%m.cfg.MemModules)-nProcs].mem[a]
+			out[a] = m.flats[int(a)%len(m.flats)].mem[a]
 		}
 	}
 	return out

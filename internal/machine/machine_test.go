@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
+	"weakorder/internal/faults"
 	"weakorder/internal/litmus"
 	"weakorder/internal/mem"
 	"weakorder/internal/policy"
@@ -442,15 +444,43 @@ func TestSharedDataEvictionWithTwoCaches(t *testing.T) {
 	}
 }
 
+// Each topology interleaves addresses across its fixed number of memory
+// modules: one on the bus, two on the flat network, four on the mesh.
 func TestMemModulesInterleaving(t *testing.T) {
 	p := litmus.CriticalSection(2, 1)
-	cfg := Config{Policy: policy.WODef2, Topology: TopoNetwork, Caches: true, MemModules: 4}
-	res := mustRun(t, p, cfg, 1)
 	counter, _ := p.AddrOf("counter")
-	if got := res.Exec.Final[counter]; got != 2 {
-		t.Errorf("counter = %d, want 2", got)
+	for topo, want := range map[Topology]int{TopoBus: 1, TopoNetwork: 2, TopoMesh: 4} {
+		res := mustRun(t, p, Config{Policy: policy.WODef2, Topology: topo, Caches: true}, 1)
+		if got := res.Exec.Final[counter]; got != 2 {
+			t.Errorf("%v: counter = %d, want 2", topo, got)
+		}
+		if len(res.Stats.Dirs) != want {
+			t.Errorf("%v: dirs = %d, want %d", topo, len(res.Stats.Dirs), want)
+		}
 	}
-	if len(res.Stats.Dirs) != 4 {
-		t.Errorf("dirs = %d, want 4", len(res.Stats.Dirs))
+}
+
+// A negative size or count is a configuration error that names the
+// field. Unchecked, ExtraProcs -1 silently dropped a thread from the run,
+// and the other fields wedged the run into a watchdog death reported as
+// a protocol bug.
+func TestConfigRejectsNegativeSizes(t *testing.T) {
+	sev := faults.Severe()
+	base := Config{Policy: policy.WODef2, Topology: TopoNetwork, Caches: true}
+	for field, set := range map[string]func(*Config){
+		"ExtraProcs":           func(c *Config) { c.ExtraProcs = -1 },
+		"WriteBuffer":          func(c *Config) { c.WriteBuffer = -1 },
+		"MaxOutstandingWrites": func(c *Config) { c.MaxOutstandingWrites = -1 },
+		"RetryMax":             func(c *Config) { c.RetryMax, c.Faults = -1, &sev },
+		"CacheCapacity":        func(c *Config) { c.CacheCapacity = -1 },
+		"DirPointers":          func(c *Config) { c.DirPointers = -1 },
+		"DirCoarseness":        func(c *Config) { c.DirCoarseness = -1 },
+	} {
+		cfg := base
+		set(&cfg)
+		_, err := Run(litmus.CriticalSection(2, 1), cfg, 3)
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s -1: Run error = %v, want one naming %s", field, err, field)
+		}
 	}
 }

@@ -4,13 +4,9 @@ import (
 	"fmt"
 
 	"weakorder/internal/cache"
-	"weakorder/internal/cpu"
-	"weakorder/internal/mem"
-	"weakorder/internal/network"
 	"weakorder/internal/policy"
 	"weakorder/internal/program"
 	"weakorder/internal/sim"
-	"weakorder/internal/splitmix"
 )
 
 // Machine pooling: campaigns run millions of short simulations, and
@@ -35,7 +31,6 @@ type poolKey struct {
 	policy        policy.Kind
 	topo          Topology
 	caches        bool
-	memModules    int
 	busLatency    sim.Time
 	netBase       sim.Time
 	netJitter     sim.Time
@@ -54,7 +49,6 @@ func (c Config) key(nProcs int) poolKey {
 		policy:        c.Policy,
 		topo:          c.Topology,
 		caches:        c.Caches,
-		memModules:    c.MemModules,
 		busLatency:    c.BusLatency,
 		netBase:       c.NetBase,
 		netJitter:     c.NetJitter,
@@ -82,96 +76,27 @@ func (c Config) poolable() bool {
 // kernel heap, message pools — instead of reconstructing it. cfg must be
 // structurally identical to the machine's original configuration (equal
 // poolKey) and poolable; per-run knobs may change. A Reset machine runs
-// byte-identically to a freshly assembled one: traces, results, stats,
-// fault schedules, and liveness reports are indistinguishable, which
+// byte-identically to a freshly assembled one, because New loads its
+// first run through the same load: traces, results, stats, fault
+// schedules, and liveness reports are indistinguishable, which
 // TestPooledMachineByteIdentical pins.
 //
 // The previous run's RunResult aliases machine-owned buffers (Exec.Ops
 // and OpCycles); Reset invalidates it. Callers that outlive the next
 // run must copy what they keep.
 func (m *Machine) Reset(prog *program.Program, cfg Config, seed int64) error {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if err := prog.Validate(); err != nil {
+	cfg, nProcs, err := prepare(prog, cfg)
+	if err != nil {
 		return err
 	}
 	if !cfg.poolable() {
 		return fmt.Errorf("machine: config %s is not poolable", cfg.Name())
 	}
-	nProcs := prog.NumThreads() + cfg.ExtraProcs
 	if got, want := cfg.key(nProcs), m.cfg.key(len(m.procs)); got != want {
 		return fmt.Errorf("machine: config %s (%d procs) is structurally incompatible with pooled machine %s (%d procs)",
 			cfg.Name(), nProcs, m.cfg.Name(), len(m.procs))
 	}
-	m.cfg = cfg
-	m.prog = prog
-	m.kernel.Reset()
-	m.arb.seed(seed)
-	m.trace = m.trace[:0]
-	m.traceCycles = m.traceCycles[:0]
-	m.pendingMigrations = nil
-	m.suspending = false
-	m.ffSkips, m.ffCycles = 0, 0
-
-	switch n := m.rawNet.(type) {
-	case *network.General:
-		n.Reset(seed)
-	case *network.Bus:
-		n.Reset()
-	case *network.Mesh:
-		n.Reset()
-	}
-	if m.fnet != nil {
-		// Same derived stream as New: fault decisions stay uncorrelated
-		// with network jitter.
-		m.fnet.Reset(*cfg.Faults, splitmix.Mix(uint64(seed)^0xfa17))
-	}
-
-	home := func(a mem.Addr) int { return nProcs + int(a)%cfg.MemModules }
-	if cfg.Caches {
-		retryTimeout := cfg.RetryTimeout
-		if cfg.Faults != nil && cfg.Faults.DisableRetry {
-			retryTimeout = 0
-		}
-		for i, d := range m.dirs {
-			d.Reset()
-			d.SetNoDedup(!cfg.faultsEnabled() && retryTimeout == 0)
-			for a, v := range prog.Init {
-				if home(a) == nProcs+i {
-					d.SetInit(a, v)
-				}
-			}
-		}
-		for _, c := range m.caches {
-			c.Reset(retryTimeout, cfg.RetryMax)
-		}
-	} else {
-		for i, mod := range m.flats {
-			mod.reset()
-			for a, v := range prog.Init {
-				if home(a) == nProcs+i {
-					mod.mem[a] = v
-				}
-			}
-		}
-		for _, port := range m.ports {
-			if fp, ok := port.(*flatPort); ok {
-				fp.reset()
-			}
-		}
-	}
-
-	for i, p := range m.procs {
-		p.Reset(cpu.Config{
-			ID:                   i,
-			ThreadID:             i,
-			Policy:               cfg.Policy,
-			WriteBufferSize:      cfg.WriteBuffer,
-			MaxOutstandingWrites: cfg.MaxOutstandingWrites,
-		}, m.thread(prog, i))
-	}
+	m.load(prog, cfg, seed)
 	return nil
 }
 

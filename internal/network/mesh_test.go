@@ -6,10 +6,16 @@ import (
 	"weakorder/internal/sim"
 )
 
+// meshConfig is the machine's mesh: the general network with mesh
+// geometry, a per-hop latency, point-to-point FIFO and no jitter.
+func meshConfig(w, h int, base, hop sim.Time) GeneralConfig {
+	return GeneralConfig{Width: w, Height: h, BaseLatency: base, HopLatency: hop, OrderedPairs: true}
+}
+
 func TestMeshHopLatency(t *testing.T) {
 	// 4x4 mesh: endpoint 0 at (0,0), endpoint 15 at (3,3) — 6 hops.
 	k := &sim.Kernel{}
-	n := NewMesh(k, MeshConfig{Width: 4, Height: 4, BaseLatency: 2, HopLatency: 3})
+	n := NewGeneral(k, meshConfig(4, 4, 2, 3))
 	var got []arrival
 	n.Attach(15, collector(k, &got))
 	n.Send(0, 15, testMsg(0))
@@ -27,7 +33,7 @@ func TestMeshHopLatency(t *testing.T) {
 }
 
 func TestMeshHops(t *testing.T) {
-	n := NewMesh(&sim.Kernel{}, MeshConfig{Width: 4, Height: 2})
+	n := NewGeneral(&sim.Kernel{}, GeneralConfig{Width: 4, Height: 2})
 	cases := []struct {
 		src, dst, want int
 	}{
@@ -46,13 +52,18 @@ func TestMeshHops(t *testing.T) {
 			t.Errorf("Hops(%d, %d) = %d, want %d", c.src, c.dst, got, c.want)
 		}
 	}
+	// The flat network is a one-node mesh: every pair is zero hops apart.
+	flat := NewGeneral(&sim.Kernel{}, GeneralConfig{})
+	if got := flat.Hops(0, 7); got != 0 {
+		t.Errorf("flat Hops(0, 7) = %d, want 0", got)
+	}
 }
 
 func TestMeshPerPairFIFO(t *testing.T) {
 	// Same-pair messages arrive in send order even when sent at the same
-	// cycle (the lastArrival bump), matching General's OrderedPairs mode.
+	// cycle (the lastArrival bump).
 	k := &sim.Kernel{}
-	n := NewMesh(k, MeshConfig{Width: 4, Height: 4, BaseLatency: 1, HopLatency: 1})
+	n := NewGeneral(k, meshConfig(4, 4, 1, 1))
 	var got []arrival
 	n.Attach(1, collector(k, &got))
 	for i := 0; i < 10; i++ {
@@ -72,41 +83,72 @@ func TestMeshPerPairFIFO(t *testing.T) {
 	}
 }
 
-func TestMeshDeterministicNoSeed(t *testing.T) {
-	// Two identical mesh runs produce identical arrival schedules; Reset
-	// replays the schedule on the same wiring.
-	run := func(n *Mesh, k *sim.Kernel, got *[]arrival) {
-		*got = (*got)[:0]
-		for i := 0; i < 8; i++ {
-			n.Send(i%3, 10+(i%4), testMsg(i))
-		}
-		k.AdvanceTo(k.Now() + 1000)
+// meshSchedule sends a fixed burst across a 4x4 mesh and returns the
+// arrivals, stamped relative to the kernel time at the start.
+func meshSchedule(n *General, k *sim.Kernel, got *[]arrival) []arrival {
+	*got = (*got)[:0]
+	base := k.Now()
+	for i := 0; i < 8; i++ {
+		n.Send(i%3, 10+(i%4), testMsg(i))
 	}
+	k.AdvanceTo(base + 1000)
+	out := append([]arrival(nil), *got...)
+	for i := range out {
+		out[i].at -= base
+	}
+	return out
+}
+
+func sameSchedule(t *testing.T, label string, got, want []arrival) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: deliveries = %d, want %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: delivery %d = %+v, want %+v", label, i, got[i], want[i])
+		}
+	}
+}
+
+func TestMeshDeterministicNoSeed(t *testing.T) {
+	// Reset replays the schedule on the same wiring.
 	k := &sim.Kernel{}
-	n := NewMesh(k, MeshConfig{Width: 4, Height: 4, BaseLatency: 2, HopLatency: 2})
+	n := NewGeneral(k, meshConfig(4, 4, 2, 2))
 	var got []arrival
 	for e := 10; e < 14; e++ {
 		n.Attach(e, collector(k, &got))
 	}
-	run(n, k, &got)
-	first := append([]arrival(nil), got...)
+	first := meshSchedule(n, k, &got)
+	n.Reset(99)
+	sameSchedule(t, "replay", meshSchedule(n, k, &got), first)
+}
 
-	base := k.Now()
-	n.Reset()
-	run(n, k, &got)
-	if len(got) != len(first) {
-		t.Fatalf("replay deliveries = %d, want %d", len(got), len(first))
-	}
-	for i := range got {
-		if got[i].m != first[i].m || got[i].src != first[i].src || got[i].at-base != first[i].at {
-			t.Fatalf("replay delivery %d = %+v, first run %+v (base %d)", i, got[i], first[i], base)
+func TestMeshSeedIndependent(t *testing.T) {
+	// Without jitter the mesh never draws from its stream, so networks
+	// built from different seeds deliver identical schedules.
+	var want []arrival
+	for _, seed := range []int64{1, 2, 0x5eed} {
+		k := &sim.Kernel{}
+		cfg := meshConfig(4, 4, 2, 2)
+		cfg.Seed = seed
+		n := NewGeneral(k, cfg)
+		var got []arrival
+		for e := 10; e < 14; e++ {
+			n.Attach(e, collector(k, &got))
 		}
+		s := meshSchedule(n, k, &got)
+		if want == nil {
+			want = s
+			continue
+		}
+		sameSchedule(t, "seed", s, want)
 	}
 }
 
 func TestMeshUnattachedEndpointRecordsError(t *testing.T) {
 	k := &sim.Kernel{}
-	n := NewMesh(k, MeshConfig{Width: 2, Height: 2})
+	n := NewGeneral(k, meshConfig(2, 2, 1, 1))
 	n.Send(0, 3, testMsg(0))
 	k.AdvanceTo(100)
 	if n.Err() == nil {

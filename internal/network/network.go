@@ -2,7 +2,8 @@
 // Figure 1: a shared bus (transactions serialized globally, delivered in
 // a single total order) and a general interconnection network (messages
 // routed independently with variable latency, so two messages — even
-// between the same endpoints — may be reordered).
+// between the same endpoints — may be reordered). A 2D mesh is the
+// general network with a per-hop latency term.
 //
 // Endpoints are small integers: processors/caches first, then memory
 // modules/directories; the machine assembles the numbering. A component
@@ -169,12 +170,32 @@ type GeneralConfig struct {
 	// Seed derives the jitter stream (splitmix64), making every latency
 	// draw reproducible per network instance.
 	Seed int64
+	// Width and Height give the mesh dimensions in nodes (default 1x1,
+	// the flat network: a one-node mesh).
+	Width, Height int
+	// HopLatency is the per-hop router traversal cost in cycles: a
+	// message pays HopLatency*Hops(src, dst) on top of BaseLatency.
+	HopLatency sim.Time
 	// Telemetry holds the optional interconnect instruments.
 	Telemetry Telemetry
 }
 
 // General is a general interconnection network: every message travels
 // independently with randomized latency.
+//
+// It is also a 2D mesh with deterministic XY (dimension-order) routing:
+// a message first travels along X to the destination column, then along
+// Y to the destination row, paying HopLatency per hop. Endpoints are
+// placed row-major: endpoint e lives at node e mod (Width*Height), i.e.
+// column e mod Width, row (e / Width) mod Height. The machine numbers
+// processors first and directories after, so with nodes >= processors
+// each processor gets its own node and the memory modules wrap around
+// and co-locate with processors spread across the mesh — the usual
+// distributed-directory placement. XY routing delivers point-to-point
+// FIFO in real hardware (all packets for one (src,dst) pair follow the
+// same path through the same router queues), which OrderedPairs models;
+// a mesh without jitter never draws from its stream, so its runs are
+// reproducible without a seed.
 type General struct {
 	k        *sim.Kernel
 	cfg      GeneralConfig
@@ -222,8 +243,9 @@ func NewGeneral(k *sim.Kernel, cfg GeneralConfig) *General {
 	if cfg.BaseLatency == 0 {
 		cfg.BaseLatency = 1
 	}
+	cfg.Width, cfg.Height = max(cfg.Width, 1), max(cfg.Height, 1)
 	g := &General{k: k, cfg: cfg}
-	g.rng.Reseed(uint64(cfg.Seed))
+	g.Reset(cfg.Seed)
 	return g
 }
 
@@ -245,6 +267,27 @@ func (g *General) Reset(seed int64) {
 	}
 }
 
+// node returns the mesh node for endpoint e (row-major placement).
+func (g *General) node(e int) (x, y int) {
+	p := e % (g.cfg.Width * g.cfg.Height)
+	return p % g.cfg.Width, p / g.cfg.Width
+}
+
+// Hops returns the XY-route hop count between endpoints src and dst:
+// the Manhattan distance between their nodes (0 on the flat network).
+func (g *General) Hops(src, dst int) int {
+	sx, sy := g.node(src)
+	dx, dy := g.node(dst)
+	return abs(sx-dx) + abs(sy-dy)
+}
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
+}
+
 // pairSlot returns a pointer to the lastArrival slot for (src, dst),
 // growing the table on first use.
 func (g *General) pairSlot(src, dst int) *sim.Time {
@@ -262,6 +305,9 @@ func (g *General) pairSlot(src, dst int) *sim.Time {
 // Send implements Network.
 func (g *General) Send(src, dst int, m Msg) {
 	lat := g.cfg.BaseLatency
+	if g.cfg.HopLatency > 0 {
+		lat += g.cfg.HopLatency * sim.Time(g.Hops(src, dst))
+	}
 	if g.cfg.Jitter > 0 {
 		lat += sim.Time(g.rng.Uint64n(uint64(g.cfg.Jitter) + 1))
 	}

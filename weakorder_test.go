@@ -236,6 +236,18 @@ func TestFacadeMigration(t *testing.T) {
 	}
 }
 
+// A negative processor count is a configuration error naming the field,
+// not a run with one thread silently missing.
+func TestFacadeRejectsNegativeExtraProcs(t *testing.T) {
+	_, err := weakorder.Simulate(buildMP(t), weakorder.MachineConfig{
+		Policy: weakorder.WODef2, Topology: weakorder.Network, Caches: true,
+		ExtraProcs: -1,
+	}, 3)
+	if err == nil || !strings.Contains(err.Error(), "ExtraProcs") {
+		t.Errorf("Simulate error = %v, want one naming ExtraProcs", err)
+	}
+}
+
 func TestFacadeCondition(t *testing.T) {
 	src := `
 program cond
