@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"weakorder"
+	"weakorder/internal/check"
 	"weakorder/internal/exp"
 	"weakorder/internal/gen"
 	"weakorder/internal/hb"
@@ -196,6 +197,34 @@ func BenchmarkCheckCampaign(b *testing.B) {
 			sims += s.Sims
 		}
 		b.ReportMetric(float64(sims)/float64(b.N), "sims/op")
+	})
+	// The violation path the clean rows never reach: an injected
+	// Definition 2 fault makes every DRF program violate, so each op
+	// shrinks every violation (probe simulations, DRF0 re-checks of the
+	// candidates, oracle decisions) and writes its reproducer.
+	b.Run("shrink", func(b *testing.B) {
+		dir := b.TempDir()
+		violations := 0
+		for i := 0; i < b.N; i++ {
+			s, err := weakorder.Check(weakorder.CampaignConfig{
+				Seed:           1,
+				Programs:       4,
+				Policies:       []weakorder.Policy{policy.WODef2, policy.SC},
+				Topologies:     []weakorder.Topology{machine.TopoBus, machine.TopoNetwork},
+				SeedsPerConfig: 2,
+				Workers:        1,
+				CorpusDir:      dir,
+				Fault:          check.CorruptReadFault(policy.WODef2),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(s.Violations) == 0 {
+				b.Fatal("the injected fault produced no violations")
+			}
+			violations += len(s.Violations)
+		}
+		b.ReportMetric(float64(violations)/float64(b.N), "violations/op")
 	})
 }
 

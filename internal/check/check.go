@@ -196,6 +196,18 @@ const (
 	livenessShrinkMaxCycles = 50_000
 )
 
+// shrinkBudget is the watchdog of the shrink probes for a violation
+// whose run took cycles. A candidate is a reduction of that run's
+// program, and the finishing probes measured need at most 2.61x its
+// cycles (under severe faults), so a probe still running at 8x has
+// almost always wedged: it now costs a few original runs instead of
+// shrinkMaxCycles. A probe the watchdog stops is rejected, so a tighter
+// budget can keep a larger reproducer but never accepts a
+// non-reproducer.
+func shrinkBudget(cycles uint64) uint64 {
+	return min(shrinkMaxCycles, 8*cycles+1_000)
+}
+
 // boundedDRFConfig bounds the DRF classification. Reduction needs
 // PreserveSyncOrder here: the hb builders order same-address
 // synchronization pairs by completion order even when both only read,

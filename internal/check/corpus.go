@@ -36,10 +36,12 @@ func (c *campaign) writeCorpus(rep *ViolationReport) error {
 	return nil
 }
 
-// corpusName derives the entry's file stem from its report.
+// corpusName derives the entry's file stem from its report. One program
+// can violate on several topologies and machine seeds, so both are in
+// the stem: each violation keeps its own entry.
 func corpusName(rep ViolationReport) string {
 	pol := strings.NewReplacer("+", "", "/", "-").Replace(rep.Config.Policy)
-	return fmt.Sprintf("%s-p%04d-%s", rep.Kind, rep.ProgramIndex, pol)
+	return fmt.Sprintf("%s-p%04d-%s-%s-s%d", rep.Kind, rep.ProgramIndex, pol, rep.Config.Topology, rep.MachineSeed)
 }
 
 // tmpPrefix marks in-flight corpus writes; recovery sweeps orphans left

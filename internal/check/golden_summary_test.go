@@ -66,11 +66,14 @@ func verdictDigest(t *testing.T, s *Summary, corpusDir string) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// TestGoldenCampaignVerdicts pins the verdicts of five small campaigns
+// TestGoldenCampaignVerdicts pins the verdicts of seven small campaigns
 // that together exercise every oracle path: the full policy matrix, the
 // padded 64-processor mesh with a limited-pointer directory, an injected
 // Definition 2 fault with shrinking and corpus emission, severe
-// interconnect faults, and the search-only oracle (NoSatFast). Any change
+// interconnect faults, and the search-only oracle (NoSatFast). The two
+// shrink-matrix cases pin the shrinker's outcomes (reports and shrunk
+// litmus, not corpus file names) on the campaign-shrink benchmark's
+// matrix, fault-free and under severe interconnect faults. Any change
 // to how appears-SC is decided must leave these digests alone; a change
 // that moves one has altered a verdict, a coverage count, a violation
 // report, or a reproducer.
@@ -94,7 +97,7 @@ func TestGoldenCampaignVerdicts(t *testing.T) {
 		{name: "corrupt-read-shrink", cfg: CampaignConfig{
 			Seed: 1, Programs: 8, SeedsPerConfig: 1,
 			Fault: CorruptReadFault(policy.WODef2),
-		}, corpus: true, want: "0c38438c7924a2355f4954e9c733cce4c626558ae696ee952a92be477c9a74e7"},
+		}, corpus: true, want: "7d2469cfd18ef627ac43790833fdcdb07bc323d02ce504a948dd9f17d3348a95"},
 		{name: "faults-severe", cfg: CampaignConfig{
 			Seed: 1, Programs: 32, SeedsPerConfig: 1,
 			Policies:   []policy.Kind{policy.SC, policy.WODef2},
@@ -104,6 +107,18 @@ func TestGoldenCampaignVerdicts(t *testing.T) {
 		{name: "search-only", cfg: CampaignConfig{
 			Seed: 7, Programs: 32, SeedsPerConfig: 1, NoSatFast: true,
 		}, want: "4fbe72a352beab7188b9e8af4dc7a2d260e3a504a9528f79bfee1258a5b2f997"},
+		{name: "shrink-matrix", cfg: CampaignConfig{
+			Seed: 1, Programs: 20, SeedsPerConfig: 2,
+			Policies: []policy.Kind{policy.WODef2, policy.SC},
+			Fault:    CorruptReadFault(policy.WODef2),
+		}, want: "67dbdc21654807682a3107ef9022b5289b4b2b1223e3b93dfb346ccb512b00a8"},
+		{name: "shrink-matrix-severe", cfg: CampaignConfig{
+			Seed: 1, Programs: 20, SeedsPerConfig: 2,
+			Policies:   []policy.Kind{policy.WODef2, policy.SC},
+			Topologies: []machine.Topology{machine.TopoNetwork},
+			Faults:     &severe,
+			Fault:      CorruptReadFault(policy.WODef2),
+		}, want: "8eb96de86aace4c434cf5147531afee18fdc6683fdbb8203fb8b2b09ad627d4b"},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -126,6 +126,15 @@ type progOutcome struct {
 // fault corrupt later checks.
 type workerState struct {
 	pool *machine.Pool
+	// drf memoizes the shrink predicate's DRF0 classification of the
+	// current program's candidates, keyed by normalized litmus text: a
+	// program that violates on several configs or machine seeds is shrunk
+	// along the same candidates each time. runProgram clears it.
+	drf map[string]bool
+}
+
+func newWorkerState() *workerState {
+	return &workerState{pool: machine.NewPool(), drf: make(map[string]bool)}
 }
 
 // runPool fans the program indices over a bounded worker pool. Each
@@ -158,7 +167,7 @@ func (c *campaign) runPool() ([]progOutcome, error) {
 			// (machine.Pool is not goroutine-safe) and influence only
 			// allocation behavior — results are byte-identical to fresh
 			// machines, so the Summary stays worker-count-invariant.
-			ws := &workerState{pool: machine.NewPool()}
+			ws := newWorkerState()
 			for idx := range jobs {
 				out, err := c.runProgram(idx, ws)
 				if err == nil && c.journal != nil {
@@ -208,6 +217,7 @@ func (c *campaign) runProgram(idx int, ws *workerState) (out progOutcome, err er
 	specs := generators()
 	spec := specs[idx%len(specs)]
 	genSeed := deriveSeed(c.cfg.Seed, uint64(idx), 0x67656e) // "gen" stream
+	clear(ws.drf)
 
 	var prog *program.Program
 	defer func() {
@@ -347,7 +357,7 @@ func (c *campaign) checkOne(out *progOutcome, ws *workerState, prog *program.Pro
 		// not abort the campaign.
 		out.Watchdogs++
 		rep, rerr := c.report(KindLiveness, spec, genSeed, idx, prog, mcfg, machineSeed,
-			mem.Result{}, le.Report.String(), ws.pool)
+			mem.Result{}, 0, le.Report.String(), ws)
 		if rerr != nil {
 			return false, rerr
 		}
@@ -401,7 +411,7 @@ func (c *campaign) checkOne(out *progOutcome, ws *workerState, prog *program.Pro
 	if kind == "" {
 		return false, nil
 	}
-	rep, rerr := c.report(kind, spec, genSeed, idx, prog, mcfg, machineSeed, res.Result, "", ws.pool)
+	rep, rerr := c.report(kind, spec, genSeed, idx, prog, mcfg, machineSeed, res.Result, res.Stats.Cycles, "", ws)
 	if rerr != nil {
 		return false, rerr
 	}
@@ -468,13 +478,14 @@ func (c *campaign) classify(p *program.Program) (class string, skipped bool) {
 
 // report shrinks a violating program and assembles its ViolationReport,
 // writing the reproducer into the corpus directory when configured.
+// cycles is the violating run's length, which bounds the shrink probes.
 // liveness carries the rendered LivenessReport for KindLiveness (the
 // observed result is then empty — a wedged run commits no outcome).
 func (c *campaign) report(kind string, spec genSpec, genSeed int64, idx int,
 	prog *program.Program, mcfg machine.Config, machineSeed int64,
-	observed mem.Result, liveness string, pool *machine.Pool) (ViolationReport, error) {
+	observed mem.Result, cycles uint64, liveness string, ws *workerState) (ViolationReport, error) {
 
-	pred := c.violates(kind, mcfg, machineSeed, pool)
+	pred := c.violates(kind, mcfg, machineSeed, cycles, ws)
 	shrunk, steps := Shrink(prog, pred, c.cfg.MaxShrinkTries)
 	outcome := observed.Key()
 	if kind == KindLiveness {
@@ -542,30 +553,29 @@ func (c *campaign) reportPanic(spec genSpec, genSeed int64, idx int,
 }
 
 // violates builds the shrinker predicate: does the candidate program
-// still exhibit the violation under the same config and machine seed?
+// still exhibit the violation under the same config and machine seed,
+// within shrinkBudget(cycles) of the violating run's cycles?
 // Definition 2 candidates must additionally stay DRF0 — otherwise
 // shrinking could land on a legitimately-racy program whose non-SC
 // outcome is no bug, making the corpus entry spurious.
-func (c *campaign) violates(kind string, mcfg machine.Config, machineSeed int64, pool *machine.Pool) func(*program.Program) bool {
+func (c *campaign) violates(kind string, mcfg machine.Config, machineSeed int64, cycles uint64, ws *workerState) func(*program.Program) bool {
 	shrinkCfg := mcfg
-	shrinkCfg.MaxCycles = shrinkMaxCycles
+	shrinkCfg.MaxCycles = shrinkBudget(cycles)
 	if kind == KindLiveness {
 		// A liveness candidate reproduces iff it still wedges: each probe
 		// burns its entire cycle budget, so use the tight one.
 		shrinkCfg.MaxCycles = livenessShrinkMaxCycles
 		return func(cand *program.Program) bool {
-			_, err := pool.RunPooled(cand, shrinkCfg, machineSeed)
+			_, err := ws.pool.RunPooled(cand, shrinkCfg, machineSeed)
 			var le *machine.LivenessError
 			return errors.As(err, &le)
 		}
 	}
 	return func(cand *program.Program) bool {
-		if kind == KindDefinition2 {
-			if class, _ := c.classify(cand); class != ClassDRF {
-				return false
-			}
+		if kind == KindDefinition2 && !c.candidateDRF(cand, ws) {
+			return false
 		}
-		res, err := pool.RunPooled(cand, shrinkCfg, machineSeed)
+		res, err := ws.pool.RunPooled(cand, shrinkCfg, machineSeed)
 		if err != nil {
 			return false
 		}
@@ -575,6 +585,23 @@ func (c *campaign) violates(kind string, mcfg machine.Config, machineSeed int64,
 		m, err := c.decide(cand, res.Result)
 		return err == nil && !m.OK
 	}
+}
+
+// candidateDRF answers whether a shrink candidate obeys DRF0, from
+// ws.drf when the program's shrinking already classified it. A
+// deadline-skipped classification is not stored: a later probe of the
+// same candidate gets a fresh budget.
+func (c *campaign) candidateDRF(cand *program.Program, ws *workerState) bool {
+	key := formatProgram(cand)
+	if drf, ok := ws.drf[key]; ok {
+		return drf
+	}
+	class, skipped := c.classify(cand)
+	drf := class == ClassDRF
+	if !skipped {
+		ws.drf[key] = drf
+	}
+	return drf
 }
 
 func instructionCount(p *program.Program) int {
