@@ -10,6 +10,7 @@ package weakorder_test
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 
@@ -23,6 +24,7 @@ import (
 	"weakorder/internal/machine"
 	"weakorder/internal/mem"
 	"weakorder/internal/policy"
+	"weakorder/internal/program"
 	"weakorder/internal/sat"
 	"weakorder/internal/scmatch"
 	"weakorder/internal/vclock"
@@ -515,6 +517,9 @@ func BenchmarkSCMatchOracle(b *testing.B) {
 // machine result, which the fast path fully resolves (lock rf pins down
 // through the from-read and coherence-final rules). "search" is the
 // campaign's exhaustive fallback for the queries the fast path hands on.
+// "campaign" decides a whole campaign's query stream (campaignQueries)
+// per op: the mix of sizes, accepts, rejects and fallbacks the campaign
+// actually asks.
 func BenchmarkSatFastPath(b *testing.B) {
 	prog := gen.RaceFree(gen.RaceFreeConfig{
 		Procs: 2, Locks: 1, SharedPerLock: 2, PrivatePerProc: 1,
@@ -545,7 +550,59 @@ func BenchmarkSatFastPath(b *testing.B) {
 			}
 		}
 	})
+	b.Run("campaign", func(b *testing.B) {
+		qs, err := campaignQueries()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, q := range qs {
+				sat.Decide(q.prog, q.res, sat.Config{})
+			}
+		}
+		b.ReportMetric(float64(len(qs)), "queries/op")
+	})
 }
+
+// satQuery is one appears-SC question of a campaign.
+type satQuery struct {
+	prog *program.Program
+	res  mem.Result
+}
+
+// campaignQueries collects the query stream of a small
+// campaign-ref-shaped campaign: 16 programs; SC, Unconstrained, WO-Def1
+// and WO-Def2 on bus and network; two machine seeds per row. It returns
+// each program's distinct observed results in the order the campaign's
+// verdict memo first sees them. The fault hook sees every result just
+// before the campaign keys it; pooled results alias machine buffers, so
+// each kept result is copied.
+var campaignQueries = sync.OnceValues(func() ([]satQuery, error) {
+	var (
+		out  []satQuery
+		last *program.Program
+		seen map[string]bool
+	)
+	_, err := weakorder.Check(weakorder.CampaignConfig{
+		Seed:           1,
+		Programs:       16,
+		Policies:       []weakorder.Policy{policy.SC, policy.Unconstrained, policy.WODef1, policy.WODef2},
+		SeedsPerConfig: 2,
+		Workers:        1,
+		Fault: func(_ machine.Config, p *program.Program, res *machine.RunResult) {
+			if p != last {
+				last, seen = p, make(map[string]bool)
+			}
+			if k := res.Result.Key(); !seen[k] {
+				seen[k] = true
+				r := mem.Result{Reads: maps.Clone(res.Result.Reads), Final: maps.Clone(res.Result.Final)}
+				out = append(out, satQuery{prog: p, res: r})
+			}
+		},
+	})
+	return out, err
+})
 
 func BenchmarkMachineCriticalSection4p(b *testing.B) {
 	prog := litmus.CriticalSection(4, 4)
@@ -632,18 +689,21 @@ func BenchmarkParseAndFormat(b *testing.B) {
 	}
 }
 
-// BenchmarkResultKey exercises the result fingerprint used to classify
-// outcomes.
+// BenchmarkResultKey keys every result of campaignQueries per op: the
+// fingerprint the campaign computes for each simulation before its
+// verdict memo.
 func BenchmarkResultKey(b *testing.B) {
-	it, err := ideal.RunSeed(litmus.CriticalSection(4, 4), ideal.Config{}, 1)
+	qs, err := campaignQueries()
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := mem.ResultOf(it.Execution())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if r.Key() == "" {
-			b.Fatal("empty key")
+		for _, q := range qs {
+			if q.res.Key() == "" {
+				b.Fatal("empty key")
+			}
 		}
 	}
+	b.ReportMetric(float64(len(qs)), "keys/op")
 }

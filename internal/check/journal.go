@@ -19,7 +19,7 @@ import (
 // would not reproduce — is rejected on resume instead of silently
 // merged. Bump it whenever generators, oracles, shrinking, or the
 // progOutcome encoding change observable results.
-const journalCodeHash = "check-v11" // v11: shrink probes bounded by the violating run
+const journalCodeHash = "check-v12" // v12: sat replay budget bounds each register-only run
 
 // journalMagic identifies the file format, independent of campaign
 // identity.

@@ -17,8 +17,11 @@
 package mem
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -301,28 +304,46 @@ func (r Result) finalAt(a Addr) Value {
 // producers differ in whether they materialize untouched addresses, so
 // the fingerprint must not distinguish the two spellings.
 func (r Result) Key() string {
-	ids := make([]OpID, 0, len(r.Reads))
-	for id := range r.Reads {
-		ids = append(ids, id)
+	type read struct {
+		id   OpID
+		addr Addr
+		val  Value
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-	var b strings.Builder
-	for _, id := range ids {
-		obs := r.Reads[id]
-		fmt.Fprintf(&b, "%s[%d]=%d;", id, obs.Addr, obs.Value)
+	reads := make([]read, 0, len(r.Reads))
+	for id, obs := range r.Reads {
+		reads = append(reads, read{id, obs.Addr, obs.Value})
 	}
-	b.WriteByte('|')
+	slices.SortFunc(reads, func(a, b read) int {
+		return cmp.Or(cmp.Compare(a.id.Proc, b.id.Proc), cmp.Compare(a.id.Index, b.id.Index))
+	})
 	addrs := make([]Addr, 0, len(r.Final))
-	for a := range r.Final {
-		if r.Final[a] != 0 {
+	for a, v := range r.Final {
+		if v != 0 {
 			addrs = append(addrs, a)
 		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		fmt.Fprintf(&b, "%d=%d;", a, r.Final[a])
+	slices.Sort(addrs)
+	// Sized for short numbers; append grows it past that.
+	b := make([]byte, 0, 16*len(reads)+12*len(addrs)+1)
+	for _, rd := range reads {
+		b = append(b, 'P')
+		b = strconv.AppendInt(b, int64(rd.id.Proc), 10)
+		b = append(b, '.')
+		b = strconv.AppendInt(b, int64(rd.id.Index), 10)
+		b = append(b, '[')
+		b = strconv.AppendUint(b, uint64(rd.addr), 10)
+		b = append(b, ']', '=')
+		b = strconv.AppendInt(b, int64(rd.val), 10)
+		b = append(b, ';')
 	}
-	return b.String()
+	b = append(b, '|')
+	for _, a := range addrs {
+		b = strconv.AppendUint(b, uint64(a), 10)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, int64(r.Final[a]), 10)
+		b = append(b, ';')
+	}
+	return string(b)
 }
 
 // String renders the result compactly.

@@ -163,6 +163,53 @@ func TestResultEqualAndKey(t *testing.T) {
 	}
 }
 
+// TestResultKeyFormat pins Key's exact spelling: reads as
+// "P{proc}.{index}[{addr}]={value};" in numeric (proc, index) order, a
+// "|", then nonzero finals as "{addr}={value};" in numeric address
+// order. Keys index the campaign's verdict memo, its per-simulation
+// records and the corpus, so the bytes must not drift.
+func TestResultKeyFormat(t *testing.T) {
+	reads := func(obs ...ReadObservation) map[OpID]ReadObservation {
+		m := make(map[OpID]ReadObservation, len(obs))
+		for _, o := range obs {
+			m[o.ID] = o
+		}
+		return m
+	}
+	at := func(proc, index int, a Addr, v Value) ReadObservation {
+		return ReadObservation{ID: OpID{Proc: proc, Index: index}, Addr: a, Value: v}
+	}
+	cases := []struct {
+		name string
+		r    Result
+		want string
+	}{
+		{"empty", Result{}, "|"},
+		{"empty maps", Result{Reads: map[OpID]ReadObservation{}, Final: map[Addr]Value{}}, "|"},
+		{"negative values", Result{
+			Reads: reads(at(0, 0, 3, -7), at(1, 2, 4, -9223372036854775808)),
+			Final: map[Addr]Value{3: -1, 4: 9223372036854775807},
+		}, "P0.0[3]=-7;P1.2[4]=-9223372036854775808;|3=-1;4=9223372036854775807;"},
+		{"max address", Result{
+			Reads: reads(at(0, 0, 4294967295, 5)),
+			Final: map[Addr]Value{4294967295: 6},
+		}, "P0.0[4294967295]=5;|4294967295=6;"},
+		{"zero finals omitted", Result{
+			Reads: reads(at(0, 0, 1, 0)),
+			Final: map[Addr]Value{0: 0, 1: 0, 2: 3},
+		}, "P0.0[1]=0;|2=3;"},
+		{"numeric order", Result{
+			Reads: reads(at(10, 0, 1, 1), at(9, 0, 1, 2), at(2, 10, 1, 3), at(2, 9, 1, 4)),
+			Final: map[Addr]Value{10: 1, 9: 2, 100: 3},
+		}, "P2.9[1]=4;P2.10[1]=3;P9.0[1]=2;P10.0[1]=1;|9=2;10=1;100=3;"},
+	}
+	for _, tc := range cases {
+		if got := tc.r.Key(); got != tc.want {
+			t.Errorf("%s: Key() = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestResultEqualZeroDefault(t *testing.T) {
 	a := Result{Reads: map[OpID]ReadObservation{}, Final: map[Addr]Value{1: 0}}
 	b := Result{Reads: map[OpID]ReadObservation{}, Final: map[Addr]Value{}}

@@ -41,7 +41,8 @@
 package sat
 
 import (
-	"weakorder/internal/bitset"
+	"math/bits"
+
 	"weakorder/internal/mem"
 	"weakorder/internal/program"
 )
@@ -124,10 +125,11 @@ type Config struct {
 	Cancel func() bool
 }
 
-// DefaultMaxEvents bounds the event graph (two bitsets per node, so the
-// worst case is ~2·MaxEvents²/8 bytes of closure state). Campaign
-// results stay far below it; anything larger (deep spin loops) is the
-// regime where the search's observation pruning does well anyway.
+// DefaultMaxEvents bounds the event graph. Its closure takes
+// 2·n·⌈n/64⌉ words for n events (two bit rows per node), about 1 MB at
+// the bound. Campaign results stay far below it; anything larger (deep
+// spin loops) is the regime where the search's observation pruning
+// does well anyway.
 const DefaultMaxEvents = 2048
 
 // maxLocalSteps bounds register-only instructions between memory
@@ -162,6 +164,7 @@ type event struct {
 	proc, index int
 	kind        mem.Kind
 	addr        mem.Addr
+	loc         int       // dense index of addr (see saturator.locs)
 	data        mem.Value // write-component value
 	got         mem.Value // read-component value (from the observation)
 }
@@ -190,18 +193,19 @@ func Decide(p *program.Program, res mem.Result, cfg Config) Decision {
 // when replay itself decided (or fell back); the Decision is then
 // meaningful.
 func replay(p *program.Program, res mem.Result, cfg Config) ([]event, Decision, bool) {
-	events := make([]event, 1, 16) // slot 0 = init pseudo-write
+	// Slot 0 is the init pseudo-write. The capacity guesses one write
+	// per read.
+	events := make([]event, 1, 16+2*len(res.Reads))
 	events[0] = event{proc: mem.InitProc, kind: mem.Write}
 	consumed := 0
 	for tid := range p.Threads {
 		instrs := p.Threads[tid].Instrs
 		var regs program.RegFile
-		pc, nextIx, steps := 0, 0, 0
+		// steps counts every instruction, for the cancel poll; local
+		// counts the register-only run since the last memory operation.
+		pc, nextIx, steps, local := 0, 0, 0, 0
 		for {
 			steps++
-			if steps > maxLocalSteps {
-				return nil, Decision{Verdict: Fallback, Reason: ReasonReplayBudget}, false
-			}
 			if cfg.Cancel != nil && steps&cancelPollMask == 0 && cfg.Cancel() {
 				return nil, Decision{Verdict: Fallback, Reason: ReasonCanceled}, false
 			}
@@ -210,12 +214,16 @@ func replay(p *program.Program, res mem.Result, cfg Config) ([]event, Decision, 
 			}
 			in := instrs[pc]
 			if !in.Op.IsMemory() {
+				if local++; local > maxLocalSteps {
+					return nil, Decision{Verdict: Fallback, Reason: ReasonReplayBudget}, false
+				}
 				var halted bool
 				if pc, halted = in.ExecLocal(&regs, pc); halted {
 					break
 				}
 				continue
 			}
+			local = 0
 			if len(events) >= cfg.maxEvents() {
 				return nil, Decision{Verdict: Fallback, Reason: ReasonTooLarge}, false
 			}
@@ -248,114 +256,200 @@ func replay(p *program.Program, res mem.Result, cfg Config) ([]event, Decision, 
 }
 
 // saturator holds the event graph and its incremental transitive
-// closure. reach[i] is i's strict descendant set, pred[i] its strict
-// ancestor set; both are maintained exactly on every edge insertion, so
-// "u happens-before v in every witness" is reach[u].Has(v) at all times.
+// closure as flat bit matrices: row i of reach is i's strict descendant
+// set, row i of pred its strict ancestor set, each w = ⌈n/64⌉ words.
+// Both are maintained exactly on every edge insertion, so "u
+// happens-before v in every witness" is bit v of reach's row u at all
+// times, and the same-location rules are word ANDs against a
+// location's write mask.
 type saturator struct {
 	p      *program.Program
 	res    mem.Result
 	events []event
 
-	reach, pred []*bitset.Set
-	scratchA    *bitset.Set // ancestor side of an edge insertion
-	scratchD    *bitset.Set // descendant side
+	w           int      // words per row
+	reach, pred []uint64 // n rows each
+	scratchA    []uint64 // ancestor side of an edge insertion
+	scratchD    []uint64 // descendant side
+	wmasks      []uint64 // one row per location: its writes, node 0 included
+	cands       []uint64 // one row per read (in reads order): its remaining writer candidates
 
-	writes map[mem.Addr][]int // same-location write events, node 0 included
-	reads  []int              // events with a read component
+	// Locations get dense indices in first-touch order.
+	locOf map[mem.Addr]int
+	locs  []location
+	reads []int // events with a read component
 
-	// cand[r] is read r's remaining writer candidates; rf[r] is the
-	// resolved writer (-1 while ambiguous). saturated[r] marks that r's
-	// coherence/from-read rules have been fully applied for the current
-	// closure — cleared whenever the closure grows.
-	cand map[int][]int
-	rf   []int
+	// rf[r] is read r's resolved writer (-1 while ambiguous).
+	rf []int
 
 	cycle bool
+}
+
+// location is one address the replayed events touch.
+type location struct {
+	init, final mem.Value // initial value; observed final (absent = 0, per mem.Result.Equal)
+	written     bool      // some event writes it
 }
 
 func newSaturator(p *program.Program, res mem.Result, events []event) *saturator {
 	n := len(events)
 	s := &saturator{
-		p:        p,
-		res:      res,
-		events:   events,
-		reach:    make([]*bitset.Set, n),
-		pred:     make([]*bitset.Set, n),
-		scratchA: bitset.New(n),
-		scratchD: bitset.New(n),
-		writes:   make(map[mem.Addr][]int),
-		cand:     make(map[int][]int),
-		rf:       make([]int, n),
+		p:      p,
+		res:    res,
+		events: events,
+		w:      (n + 63) / 64,
+		locOf:  make(map[mem.Addr]int),
+		reads:  make([]int, 0, len(res.Reads)),
+		rf:     make([]int, n),
 	}
-	for i := range s.reach {
-		s.reach[i] = bitset.New(n)
-		s.pred[i] = bitset.New(n)
-		s.rf[i] = -1
-	}
-	// Program order: init precedes every thread's first event; events of
-	// one thread chain in index order (events are appended per thread,
-	// so "previous event of the same proc" is the last one seen).
-	last := map[int]int{}
 	for i := 1; i < n; i++ {
 		ev := &s.events[i]
-		prev, ok := last[ev.proc]
+		l, ok := s.locOf[ev.addr]
 		if !ok {
-			prev = 0
+			l = len(s.locs)
+			s.locOf[ev.addr] = l
+			s.locs = append(s.locs, location{init: p.Init[ev.addr], final: res.Final[ev.addr]})
 		}
-		s.addEdge(prev, i)
-		last[ev.proc] = i
+		ev.loc = l
 		if ev.writes() {
-			s.writes[ev.addr] = append(s.writes[ev.addr], i)
+			s.locs[l].written = true
 		}
 		if ev.reads() {
 			s.reads = append(s.reads, i)
 		}
 	}
-	for a := range s.writes {
-		s.writes[a] = append([]int{0}, s.writes[a]...)
+	words := make([]uint64, (2*n+2+len(s.locs)+len(s.reads))*s.w)
+	take := func(rows int) []uint64 {
+		m := words[:rows*s.w]
+		words = words[rows*s.w:]
+		return m
+	}
+	s.reach, s.pred = take(n), take(n)
+	s.scratchA, s.scratchD = take(1), take(1)
+	s.wmasks, s.cands = take(len(s.locs)), take(len(s.reads))
+	for l := range s.locs {
+		setBit(s.wmask(l), 0)
+	}
+	for i := 1; i < n; i++ {
+		if s.events[i].writes() {
+			setBit(s.wmask(s.events[i].loc), i)
+		}
+	}
+	for i := range s.rf {
+		s.rf[i] = -1
+	}
+	// Program order, closed directly: init precedes every event, and
+	// each event precedes the rest of its thread (replay appends each
+	// thread's events contiguously, in index order).
+	setRange(s.row(s.reach, 0), 1, n)
+	for start := 1; start < n; {
+		end := start + 1
+		for end < n && s.events[end].proc == s.events[start].proc {
+			end++
+		}
+		for i := start; i < end; i++ {
+			setRange(s.row(s.reach, i), i+1, end)
+			pr := s.row(s.pred, i)
+			setBit(pr, 0)
+			setRange(pr, start, i)
+		}
+		start = end
 	}
 	return s
 }
 
-// initVal is the initial (pseudo-write) value of a location.
-func (s *saturator) initVal(a mem.Addr) mem.Value { return s.p.Init[a] }
+// row is node i's row of the closure matrix m.
+func (s *saturator) row(m []uint64, i int) []uint64 { return m[i*s.w : (i+1)*s.w] }
 
-// dataAt is the value write event w deposits into location a.
-func (s *saturator) dataAt(w int, a mem.Addr) mem.Value {
+// wmask is location l's write-mask row.
+func (s *saturator) wmask(l int) []uint64 { return s.wmasks[l*s.w : (l+1)*s.w] }
+
+// cand is the candidate row of the i-th read (s.reads[i]).
+func (s *saturator) cand(i int) []uint64 { return s.cands[i*s.w : (i+1)*s.w] }
+
+func hasBit(row []uint64, i int) bool { return row[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+func setBit(row []uint64, i int) { row[i>>6] |= 1 << (uint(i) & 63) }
+
+// setRange sets bits [lo, hi) of row.
+func setRange(row []uint64, lo, hi int) {
+	for lo < hi {
+		k := lo >> 6
+		m := ^uint64(0) << (uint(lo) & 63)
+		if next := (k + 1) << 6; hi < next {
+			m &= ^uint64(0) >> uint(next-hi)
+		}
+		row[k] |= m
+		lo = (k + 1) << 6
+	}
+}
+
+// intersects reports whether rows a and b share a member.
+func intersects(a, b []uint64) bool {
+	for k := range a {
+		if a[k]&b[k] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// meets reports whether rows a, b and c share a member.
+func meets(a, b, c []uint64) bool {
+	for k := range a {
+		if a[k]&b[k]&c[k] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// dataAt is the value write event w deposits into location l.
+func (s *saturator) dataAt(w, l int) mem.Value {
 	if w == 0 {
-		return s.initVal(a)
+		return s.locs[l].init
 	}
 	return s.events[w].data
 }
 
-// finalVal is the observed final value of a location (absent = 0, per
-// mem.Result.Equal).
-func (s *saturator) finalVal(a mem.Addr) mem.Value { return s.res.Final[a] }
-
 // addEdge inserts u -> v and updates the closure; it records a cycle in
 // s.cycle (u == v, or v already reaches u) instead of inserting one.
 func (s *saturator) addEdge(u, v int) {
-	if u == v || s.reach[v].Has(u) {
+	if u == v || hasBit(s.row(s.reach, v), u) {
 		s.cycle = true
 		return
 	}
-	if s.reach[u].Has(v) {
+	if hasBit(s.row(s.reach, u), v) {
 		return
 	}
 	// A = ancestors(u) ∪ {u}, D = descendants(v) ∪ {v}; every a ∈ A now
-	// reaches every d ∈ D.
-	s.scratchA.CopyFrom(s.pred[u])
-	s.scratchA.Add(u)
-	s.scratchD.CopyFrom(s.reach[v])
-	s.scratchD.Add(v)
-	s.scratchA.ForEach(func(a int) bool {
-		s.reach[a].UnionWith(s.scratchD)
-		return true
-	})
-	s.scratchD.ForEach(func(d int) bool {
-		s.pred[d].UnionWith(s.scratchA)
-		return true
-	})
+	// reaches every d ∈ D. The closure is transitive, so an ancestor of
+	// v already reaches all of D and a descendant of u is already
+	// reached by all of A: only A \ pred[v] and D \ reach[u] change, and
+	// each needs only the other's remainder.
+	pu, pv := s.row(s.pred, u), s.row(s.pred, v)
+	ru, rv := s.row(s.reach, u), s.row(s.reach, v)
+	for k := range s.scratchA {
+		s.scratchA[k] = pu[k] &^ pv[k]
+		s.scratchD[k] = rv[k] &^ ru[k]
+	}
+	setBit(s.scratchA, u)
+	setBit(s.scratchD, v)
+	s.orRows(s.reach, s.scratchA, s.scratchD)
+	s.orRows(s.pred, s.scratchD, s.scratchA)
+}
+
+// orRows ors src into the row of m of every member of set.
+func (s *saturator) orRows(m, set, src []uint64) {
+	for k, word := range set {
+		for word != 0 {
+			dst := m[(k<<6|bits.TrailingZeros64(word))*len(src):][:len(src)]
+			word &= word - 1
+			for j, x := range src {
+				dst[j] |= x
+			}
+		}
+	}
 }
 
 // saturate derives writer candidates and runs the fixpoint. ok is false
@@ -368,32 +462,30 @@ func (s *saturator) saturate(cfg Config) (Decision, bool) {
 	// final disagreeing with it (or naming a location the program never
 	// writes) is unreachable by any execution.
 	for a, v := range s.res.Final {
-		if len(s.writes[a]) == 0 && v != s.initVal(a) {
+		if l, ok := s.locOf[a]; (!ok || !s.locs[l].written) && v != s.p.Init[a] {
 			return fail(Rejected, ReasonFinal)
 		}
 	}
 	// Writer candidates: same-location writes supplying the observed
 	// value. An RMW cannot read from its own write (its read component
-	// sees the pre-state), so w == r is excluded.
-	for _, r := range s.reads {
+	// sees the pre-state), so w == r is excluded. For a location only
+	// ever read, the init pseudo-write is the only possible writer.
+	for i, r := range s.reads {
 		ev := &s.events[r]
-		var cs []int
-		// writes[addr] includes node 0 whenever the location is ever
-		// written; for a read-only location the init pseudo-write is its
-		// only possible writer.
-		ws := s.writes[ev.addr]
-		if len(ws) == 0 {
-			ws = []int{0}
-		}
-		for _, w := range ws {
-			if w != r && s.dataAt(w, ev.addr) == ev.got {
-				cs = append(cs, w)
+		c, found := s.cand(i), false
+		for k, word := range s.wmask(ev.loc) {
+			for word != 0 {
+				w := k<<6 | bits.TrailingZeros64(word)
+				word &= word - 1
+				if w != r && s.dataAt(w, ev.loc) == ev.got {
+					setBit(c, w)
+					found = true
+				}
 			}
 		}
-		if len(cs) == 0 {
+		if !found {
 			return fail(Rejected, ReasonNoWriter)
 		}
-		s.cand[r] = cs
 	}
 	// Fixpoint: apply the final-state constraint, prune candidates, fix
 	// unique writers and their closure rules until nothing changes. Every
@@ -405,38 +497,40 @@ func (s *saturator) saturate(cfg Config) (Decision, bool) {
 			return fail(Fallback, ReasonCanceled)
 		}
 		changed := false
-		// Final-state constraint: prune coherence-last candidates to
-		// writes that (a) supply the observed final value and (b) are not
-		// known to precede another same-location write. A unique survivor
-		// must be last: every other write precedes it.
-		for a, ws := range s.writes {
-			fv := s.finalVal(a)
+		// Final-state constraint, over the written locations in
+		// first-touch order: prune coherence-last candidates to writes
+		// that (a) supply the observed final value and (b) are not known
+		// to precede another same-location write. A unique survivor must
+		// be last: every other write precedes it.
+		for l := range s.locs {
+			if !s.locs[l].written {
+				continue
+			}
+			wm := s.wmask(l)
 			lastCands := 0
 			lastW := -1
-			for _, w := range ws {
-				if s.dataAt(w, a) != fv {
-					continue
-				}
-				preceded := false
-				for _, w2 := range ws {
-					if w2 != w && s.reach[w].Has(w2) {
-						preceded = true
-						break
+			for k, word := range wm {
+				for word != 0 {
+					w := k<<6 | bits.TrailingZeros64(word)
+					word &= word - 1
+					if s.dataAt(w, l) == s.locs[l].final && !intersects(s.row(s.reach, w), wm) {
+						lastCands++
+						lastW = w
 					}
-				}
-				if !preceded {
-					lastCands++
-					lastW = w
 				}
 			}
 			if lastCands == 0 {
 				return fail(Rejected, ReasonFinal)
 			}
 			if lastCands == 1 {
-				for _, w := range ws {
-					if w != lastW && !s.reach[w].Has(lastW) {
-						s.addEdge(w, lastW)
-						changed = true
+				for k, word := range wm {
+					for word != 0 {
+						w := k<<6 | bits.TrailingZeros64(word)
+						word &= word - 1
+						if w != lastW && !hasBit(s.row(s.reach, w), lastW) {
+							s.addEdge(w, lastW)
+							changed = true
+						}
 					}
 				}
 			}
@@ -445,32 +539,36 @@ func (s *saturator) saturate(cfg Config) (Decision, bool) {
 			return fail(Rejected, ReasonCycle)
 		}
 		// Candidate pruning + unique-writer resolution.
-		for _, r := range s.reads {
+		for i, r := range s.reads {
 			ev := &s.events[r]
 			if s.rf[r] >= 0 {
 				if !applied[r] {
-					changed = s.applyRFRules(r, s.rf[r], ev.addr) || changed
+					changed = s.applyRFRules(r, s.rf[r], ev.loc) || changed
 					applied[r] = true
 				}
 				continue
 			}
-			cs := s.cand[r][:0]
-			for _, w := range s.cand[r] {
-				if s.excluded(r, w, ev.addr) {
-					changed = true
-					continue
+			c := s.cand(i)
+			left, w := 0, -1
+			for k, word := range c {
+				for word != 0 {
+					b := bits.TrailingZeros64(word)
+					word &= word - 1
+					if s.excluded(r, k<<6|b, ev.loc) {
+						c[k] &^= 1 << uint(b)
+						changed = true
+						continue
+					}
+					left, w = left+1, k<<6|b
 				}
-				cs = append(cs, w)
 			}
-			s.cand[r] = cs
-			switch len(cs) {
+			switch left {
 			case 0:
 				return fail(Rejected, ReasonNoWriter)
 			case 1:
-				w := cs[0]
 				s.rf[r] = w
 				s.addEdge(w, r)
-				s.applyRFRules(r, w, ev.addr)
+				s.applyRFRules(r, w, ev.loc)
 				applied[r] = true
 				changed = true
 			}
@@ -483,44 +581,48 @@ func (s *saturator) saturate(cfg Config) (Decision, bool) {
 		}
 		// The closure may have grown; re-run every resolved read's rules
 		// next round until they add nothing.
-		for i := range applied {
-			applied[i] = false
-		}
+		clear(applied)
 	}
 	return Decision{}, true
 }
 
 // excluded reports whether w is soundly impossible as r's writer: the
-// read already precedes w, or another same-location write is known to
-// fall strictly between w and r.
-func (s *saturator) excluded(r, w int, a mem.Addr) bool {
-	if s.reach[r].Has(w) {
-		return true
-	}
-	for _, w2 := range s.writes[a] {
-		if w2 != w && w2 != r && s.reach[w].Has(w2) && s.reach[w2].Has(r) {
-			return true
-		}
-	}
-	return false
+// read already precedes w, or another write of r's location l is known
+// to fall strictly between w and r (the closure is a strict order, so
+// neither w nor r can be that write).
+func (s *saturator) excluded(r, w, l int) bool {
+	return hasBit(s.row(s.reach, r), w) || meets(s.row(s.reach, w), s.row(s.pred, r), s.wmask(l))
 }
 
 // applyRFRules adds the coherence (w2 hb r ⟹ w2 co-before w) and
 // from-read (w co-before w2 ⟹ r before w2) edges for a resolved
-// reads-from pair; it reports whether the closure grew.
-func (s *saturator) applyRFRules(r, w int, a mem.Addr) bool {
+// reads-from pair on location l; it reports whether the closure grew.
+// Only the writes in wmask & (pred[r] &^ pred[w] | reach[w] &^ reach[r])
+// can meet either premise, and the edges added here cannot make a
+// premise newly true, so those are the only writes visited; each
+// premise is still checked on the live closure.
+func (s *saturator) applyRFRules(r, w, l int) bool {
 	changed := false
-	for _, w2 := range s.writes[a] {
-		if w2 == w || w2 == r {
-			continue
-		}
-		if s.reach[w2].Has(r) && !s.reach[w2].Has(w) {
-			s.addEdge(w2, w)
-			changed = true
-		}
-		if s.reach[w].Has(w2) && !s.reach[r].Has(w2) {
-			s.addEdge(r, w2)
-			changed = true
+	wm := s.wmask(l)
+	rr, pr := s.row(s.reach, r), s.row(s.pred, r)
+	rw, pw := s.row(s.reach, w), s.row(s.pred, w)
+	for k := range wm {
+		word := wm[k] & (pr[k]&^pw[k] | rw[k]&^rr[k])
+		for word != 0 {
+			w2 := k<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			if w2 == w || w2 == r {
+				continue
+			}
+			r2 := s.row(s.reach, w2)
+			if hasBit(r2, r) && !hasBit(r2, w) {
+				s.addEdge(w2, w)
+				changed = true
+			}
+			if hasBit(rw, w2) && !hasBit(rr, w2) {
+				s.addEdge(r, w2)
+				changed = true
+			}
 		}
 	}
 	return changed
@@ -541,11 +643,23 @@ func (s *saturator) witness() Decision {
 			return fail(Fallback, ReasonAmbiguousRF)
 		}
 	}
-	for _, ws := range s.writes {
-		for i, w1 := range ws {
-			for _, w2 := range ws[i+1:] {
-				if !s.reach[w1].Has(w2) && !s.reach[w2].Has(w1) {
-					return fail(Fallback, ReasonCoIncomplete)
+	// Every write of a location must be ordered against every other:
+	// its row of reach, its row of pred and itself cover the mask.
+	for l := range s.locs {
+		wm := s.wmask(l)
+		for k, word := range wm {
+			for word != 0 {
+				w := k<<6 | bits.TrailingZeros64(word)
+				word &= word - 1
+				rw, pw := s.row(s.reach, w), s.row(s.pred, w)
+				for j := range wm {
+					rest := wm[j] &^ rw[j] &^ pw[j]
+					if j == k {
+						rest &^= 1 << (uint(w) & 63)
+					}
+					if rest != 0 {
+						return fail(Fallback, ReasonCoIncomplete)
+					}
 				}
 			}
 		}
@@ -557,7 +671,9 @@ func (s *saturator) witness() Decision {
 		// In-degree over the closure's immediate information: count
 		// ancestors. (Using full ancestor counts keeps the order a valid
 		// linear extension: a node is emitted only after every ancestor.)
-		indeg[v] = s.pred[v].Count()
+		for _, x := range s.row(s.pred, v) {
+			indeg[v] += bits.OnesCount64(x)
+		}
 	}
 	heap := &intHeap{}
 	for v := 0; v < n; v++ {
@@ -569,43 +685,51 @@ func (s *saturator) witness() Decision {
 	for heap.len() > 0 {
 		u := heap.pop()
 		order = append(order, u)
-		s.reach[u].ForEach(func(v int) bool {
-			indeg[v]--
-			if indeg[v] == 0 {
-				heap.push(v)
+		for k, word := range s.row(s.reach, u) {
+			for word != 0 {
+				v := k<<6 | bits.TrailingZeros64(word)
+				word &= word - 1
+				indeg[v]--
+				if indeg[v] == 0 {
+					heap.push(v)
+				}
 			}
-			return true
-		})
+		}
 	}
 	if len(order) != n {
 		return fail(Rejected, ReasonCycle) // unreachable: closure is acyclic here
 	}
 	// Replay the order on an SC memory.
-	memory := make(map[mem.Addr]mem.Value, len(s.p.Init))
-	for a, v := range s.p.Init {
-		memory[a] = v
+	memory := make([]mem.Value, len(s.locs))
+	for l := range s.locs {
+		memory[l] = s.locs[l].init
 	}
 	for _, u := range order {
 		if u == 0 {
 			continue // init values are pre-loaded
 		}
 		ev := &s.events[u]
-		if ev.reads() && memory[ev.addr] != ev.got {
+		if ev.reads() && memory[ev.loc] != ev.got {
 			return fail(Fallback, ReasonWitness)
 		}
 		if ev.writes() {
-			memory[ev.addr] = ev.data
+			memory[ev.loc] = ev.data
 		}
 	}
-	// Final state must match over the union of touched locations
-	// (absent = 0 on either side).
-	for a, v := range memory {
-		if s.res.Final[a] != v {
+	// Final state must match over the touched locations, the program's
+	// initialized ones and the observed ones (absent = 0 on either side).
+	for l := range s.locs {
+		if memory[l] != s.locs[l].final {
+			return fail(Fallback, ReasonWitness)
+		}
+	}
+	for a, v := range s.p.Init {
+		if _, touched := s.locOf[a]; !touched && s.res.Final[a] != v {
 			return fail(Fallback, ReasonWitness)
 		}
 	}
 	for a, v := range s.res.Final {
-		if memory[a] != v {
+		if _, touched := s.locOf[a]; !touched && s.p.Init[a] != v {
 			return fail(Fallback, ReasonWitness)
 		}
 	}

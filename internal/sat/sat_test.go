@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"math/rand"
 	"testing"
 
 	"weakorder/internal/ideal"
@@ -225,5 +226,106 @@ func TestDecideRMWAtomicity(t *testing.T) {
 	}
 	if d := Decide(p, oneWins, Config{}); d.Verdict != Accepted {
 		t.Errorf("serialized TAS pair: got %s (%s), want accepted", d.Verdict, d.Reason)
+	}
+}
+
+// TestDecideReplayBudgetPerGap: the replay's local-step budget bounds
+// each register-only run between memory operations, as
+// ideal.Config.MaxLocalSteps does, not the thread's whole instruction
+// count. A thread storing 1,700 times with six register-only
+// instructions per iteration runs about 11,900 instructions but never
+// more than six in a row; its SC result must be decided. A
+// register-only loop that never reaches memory still falls back.
+func TestDecideReplayBudgetPerGap(t *testing.T) {
+	b := program.NewBuilder("long-store-loop")
+	x := b.Var("x")
+	th := b.Thread()
+	th.Label("top")
+	th.Store(x, program.R1)
+	th.AddImm(program.R1, program.R1, 1)
+	th.Nop().Nop().Nop().Nop()
+	th.BltImm(program.R1, 1700, "top")
+	p := b.MustBuild()
+	var results []mem.Result
+	if _, err := ideal.Enumerate(p, ideal.EnumConfig{}, func(it *ideal.Interp) error {
+		results = append(results, mem.ResultOf(it.Execution()))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 {
+		t.Fatalf("one-thread program has %d SC results, want 1", len(results))
+	}
+	d := Decide(p, results[0], Config{})
+	if d.Verdict != Accepted || d.Events != 1701 {
+		t.Errorf("1,700-store loop: got %s (%s), %d events; want accepted, 1701 events", d.Verdict, d.Reason, d.Events)
+	}
+
+	b = program.NewBuilder("local-spin")
+	b.Thread().Label("spin").Jmp("spin")
+	spin := b.MustBuild()
+	empty := mem.Result{Reads: map[mem.OpID]mem.ReadObservation{}, Final: map[mem.Addr]mem.Value{}}
+	if d := Decide(spin, empty, Config{}); d.Verdict != Fallback || d.Reason != ReasonReplayBudget {
+		t.Errorf("register-only loop: got %s (%s), want fallback (%s)", d.Verdict, d.Reason, ReasonReplayBudget)
+	}
+}
+
+// TestClosureExact: addEdge keeps reach and pred the exact transitive
+// closure (and its transpose) of program order plus every inserted
+// edge, refusing exactly the edges that would close a cycle. Sizes
+// straddle the 64-bit word boundary.
+func TestClosureExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{2, 5, 63, 64, 65, 130} {
+		events := make([]event, n)
+		events[0] = event{proc: mem.InitProc, kind: mem.Write}
+		for i := 1; i < n; i++ {
+			events[i] = event{proc: (i - 1) * 3 / n, kind: mem.Write}
+		}
+		s := newSaturator(&program.Program{}, mem.Result{}, events)
+		// edge[u][v]: u -> v is a program-order or inserted edge.
+		edge := make([][]bool, n)
+		for u := range edge {
+			edge[u] = make([]bool, n)
+			for v := u + 1; v < n; v++ {
+				edge[u][v] = u == 0 || events[u].proc == events[v].proc
+			}
+		}
+		// reaches reports whether v is reachable from u over edge.
+		reaches := func(u, v int) bool {
+			seen := make([]bool, n)
+			stack := []int{u}
+			for len(stack) > 0 {
+				x := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for y := 0; y < n; y++ {
+					if edge[x][y] && !seen[y] {
+						seen[y] = true
+						stack = append(stack, y)
+					}
+				}
+			}
+			return seen[v]
+		}
+		for step := 0; step < 4*n; step++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			wantCycle := u == v || reaches(v, u)
+			s.cycle = false
+			s.addEdge(u, v)
+			if s.cycle != wantCycle {
+				t.Fatalf("n=%d: addEdge(%d, %d) cycle = %v, want %v", n, u, v, s.cycle, wantCycle)
+			}
+			if !wantCycle {
+				edge[u][v] = true
+			}
+		}
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				want := reaches(u, v)
+				if hasBit(s.row(s.reach, u), v) != want || hasBit(s.row(s.pred, v), u) != want {
+					t.Fatalf("n=%d: closure differs at %d -> %d (want %v)", n, u, v, want)
+				}
+			}
+		}
 	}
 }

@@ -6,8 +6,10 @@
 #
 # The benchmark set covers the hot paths reworked by the POR oracle and
 # simulation-kernel overhaul: the differential campaign, the fault-injection
-# matrix, the SC enumeration/matching oracles, the DRF0 checker, and the
-# axiomatic candidate-execution engine. Output is
+# matrix, the SC enumeration/matching oracles (with the appears-SC fast
+# path on one query and on a campaign's query stream, and the result
+# keys the campaign memoizes on), the DRF0 checker, and the axiomatic
+# candidate-execution engine. Output is
 # a JSON document mapping benchmark names to their measured metrics (ns/op
 # plus any benchmark-reported extras such as steps/op or sims/op).
 #
@@ -24,7 +26,7 @@ set -eu
 BENCHTIME=1x
 OUT=BENCH_oracle.json
 BASELINE=
-BENCHSET='BenchmarkCheckCampaign|BenchmarkFaultMatrix$|BenchmarkMachineReuse|BenchmarkMachineStep|BenchmarkIdealEnumerateDekker|BenchmarkIdealEnumeratePOR|BenchmarkSCMatchOracle|BenchmarkSatFastPath|BenchmarkDRF0CheckGenerated|BenchmarkAxiomSC'
+BENCHSET='BenchmarkCheckCampaign|BenchmarkFaultMatrix$|BenchmarkMachineReuse|BenchmarkMachineStep|BenchmarkIdealEnumerateDekker|BenchmarkIdealEnumeratePOR|BenchmarkSCMatchOracle|BenchmarkSatFastPath|BenchmarkResultKey$|BenchmarkDRF0CheckGenerated|BenchmarkAxiomSC'
 
 while [ $# -gt 0 ]; do
     case "$1" in
