@@ -14,9 +14,7 @@ import (
 	"weakorder/internal/hb"
 	"weakorder/internal/ideal"
 	"weakorder/internal/lang"
-	"weakorder/internal/machine"
 	"weakorder/internal/program"
-	"weakorder/internal/scmatch"
 )
 
 // formatProgram renders a program as corpus litmus text.
@@ -299,30 +297,30 @@ func quarantineEntry(dir, stem string) error {
 }
 
 // Replay re-runs a corpus entry against today's simulator: the recorded
-// machine seed plus extraSeeds more, asserting the recorded contract now
-// holds — the entry was minimized from a violation, so replay passing
-// means the bug it captured stays fixed. Definition 2 entries are also
-// re-checked to still obey DRF0 (otherwise the appears-SC assertion
-// would be vacuous).
+// machine seed plus extraSeeds more, each judged by the probe that
+// shrank the entry, which must now find the recorded contract kept —
+// the entry was minimized from a violation, so replay passing means the
+// bug it captured stays fixed. Replay runs without the campaign's fault
+// hook. Definition 2 entries are also re-checked to still obey DRF0
+// (otherwise the appears-SC assertion would be vacuous).
 //
-// KindLiveness entries assert completion: the run must finish without a
-// watchdog death. Entries recorded under a DisableRetry plan are the one
-// exception — that configuration removes the recovery mechanism on
-// purpose, so the entry is a demonstration, and replay asserts it still
-// wedges.
+// Entries recorded under a DisableRetry plan are the one exception:
+// that configuration removes the recovery mechanism on purpose, so the
+// entry is a demonstration, and replay asserts it still wedges at its
+// recorded seed.
 func Replay(e CorpusEntry, extraSeeds int) error {
 	mcfg, err := e.Report.Config.Machine()
 	if err != nil {
 		return fmt.Errorf("%s: %w", e.Name, err)
 	}
+	kind := e.Report.Kind
 	mcfg.MaxCycles = campaignMaxCycles
-	if e.Report.Kind == KindLiveness {
-		return replayLiveness(e, mcfg, extraSeeds)
+	demonstration := kind == KindLiveness && mcfg.Faults != nil && mcfg.Faults.DisableRetry
+	if demonstration {
+		// The wedge is the recorded behavior; keep the probe cheap.
+		mcfg.MaxCycles = livenessShrinkMaxCycles
 	}
-	if e.Report.Kind == KindWorkerPanic {
-		return replayPanic(e, mcfg, extraSeeds)
-	}
-	if e.Report.Kind == KindDefinition2 {
+	if kind == KindDefinition2 {
 		v, err := drf.Check(e.Prog, hb.SyncAll, boundedDRFConfig())
 		switch {
 		case err != nil && !errors.Is(err, ideal.ErrBudget):
@@ -335,81 +333,23 @@ func Replay(e CorpusEntry, extraSeeds int) error {
 		// exhaustive-check budget, and every shrink-accepted candidate
 		// already passed this bounded check during the campaign.
 	}
-	seeds := []int64{e.Report.MachineSeed}
-	for i := 0; i < extraSeeds; i++ {
-		seeds = append(seeds, deriveSeed(e.Report.MachineSeed, uint64(i)))
-	}
-	for _, seed := range seeds {
-		res, err := machine.Run(e.Prog, mcfg, seed)
-		if err != nil {
-			return fmt.Errorf("%s (seed %d): %w", e.Name, seed, err)
+	c, ws := &campaign{}, newWorkerState()
+	for i := -1; i < extraSeeds; i++ {
+		seed := e.Report.MachineSeed
+		if i >= 0 {
+			seed = deriveSeed(e.Report.MachineSeed, uint64(i))
 		}
-		m, err := scmatch.Decide(e.Prog, res.Result, scmatch.Config{MaxStates: oracleMatchMaxStates})
-		if err != nil {
-			return fmt.Errorf("%s (seed %d): scmatch: %w", e.Name, seed, err)
-		}
-		if !m.OK {
-			return fmt.Errorf("%s (seed %d): result does not appear SC — the recorded %s violation has regressed:\n%s",
-				e.Name, seed, e.Report.Kind, res.Result)
-		}
-	}
-	return nil
-}
-
-// replayPanic replays a KindWorkerPanic entry: the recorded program
-// must now simulate to completion without panicking (the usual origin —
-// an injected test fault hook — is absent on replay, so this asserts
-// the simulator itself stays panic-free on the reproducer).
-func replayPanic(e CorpusEntry, mcfg machine.Config, extraSeeds int) error {
-	seeds := []int64{e.Report.MachineSeed}
-	for i := 0; i < extraSeeds; i++ {
-		seeds = append(seeds, deriveSeed(e.Report.MachineSeed, uint64(i)))
-	}
-	for _, seed := range seeds {
-		err := func() (err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					err = fmt.Errorf("%s (seed %d): the recorded worker panic has regressed: %v", e.Name, seed, r)
-				}
-			}()
-			if _, rerr := machine.Run(e.Prog, mcfg, seed); rerr != nil {
-				var le *machine.LivenessError
-				if !errors.As(rerr, &le) {
-					return fmt.Errorf("%s (seed %d): %w", e.Name, seed, rerr)
-				}
-			}
-			return nil
-		}()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// replayLiveness replays a KindLiveness entry; see Replay.
-func replayLiveness(e CorpusEntry, mcfg machine.Config, extraSeeds int) error {
-	demonstration := mcfg.Faults != nil && mcfg.Faults.DisableRetry
-	if demonstration {
-		// The wedge is the recorded behavior; keep the probe cheap.
-		mcfg.MaxCycles = livenessShrinkMaxCycles
-	}
-	seeds := []int64{e.Report.MachineSeed}
-	for i := 0; i < extraSeeds; i++ {
-		seeds = append(seeds, deriveSeed(e.Report.MachineSeed, uint64(i)))
-	}
-	for _, seed := range seeds {
-		_, err := machine.Run(e.Prog, mcfg, seed)
-		var le *machine.LivenessError
-		wedged := errors.As(err, &le)
+		broken, evidence, err := c.probe(kind, e.Prog, mcfg, seed, ws)
 		switch {
-		case err != nil && !wedged:
+		case err != nil:
 			return fmt.Errorf("%s (seed %d): %w", e.Name, seed, err)
-		case demonstration && seed == e.Report.MachineSeed && !wedged:
-			return fmt.Errorf("%s (seed %d): retry-disabled demonstration no longer wedges", e.Name, seed)
-		case !demonstration && wedged:
-			return fmt.Errorf("%s (seed %d): the recorded liveness violation has regressed:\n%s",
-				e.Name, seed, le.Report)
+		case demonstration:
+			if seed == e.Report.MachineSeed && !broken {
+				return fmt.Errorf("%s (seed %d): retry-disabled demonstration no longer wedges", e.Name, seed)
+			}
+		case broken:
+			return fmt.Errorf("%s (seed %d): the recorded %s violation has regressed:\n%v",
+				e.Name, seed, kind, evidence)
 		}
 	}
 	return nil

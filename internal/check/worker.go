@@ -335,7 +335,7 @@ func (c *campaign) checkOne(out *progOutcome, ws *workerState, prog *program.Pro
 		ws.pool = machine.NewPool()
 		out.Panics++
 		stack := panicStack(r, debug.Stack())
-		rep, rerr := c.reportPanic(spec, genSeed, idx, prog, mcfg, machineSeed, stack)
+		rep, rerr := c.report(KindWorkerPanic, spec, genSeed, idx, prog, mcfg, machineSeed, "panic", 0, stack, ws)
 		if rerr != nil && err == nil {
 			err = rerr
 		}
@@ -357,7 +357,7 @@ func (c *campaign) checkOne(out *progOutcome, ws *workerState, prog *program.Pro
 		// not abort the campaign.
 		out.Watchdogs++
 		rep, rerr := c.report(KindLiveness, spec, genSeed, idx, prog, mcfg, machineSeed,
-			mem.Result{}, 0, le.Report.String(), ws)
+			"wedged", 0, le.Report.String(), ws)
 		if rerr != nil {
 			return false, rerr
 		}
@@ -411,7 +411,7 @@ func (c *campaign) checkOne(out *progOutcome, ws *workerState, prog *program.Pro
 	if kind == "" {
 		return false, nil
 	}
-	rep, rerr := c.report(kind, spec, genSeed, idx, prog, mcfg, machineSeed, res.Result, res.Stats.Cycles, "", ws)
+	rep, rerr := c.report(kind, spec, genSeed, idx, prog, mcfg, machineSeed, rec.Key, res.Stats.Cycles, "", ws)
 	if rerr != nil {
 		return false, rerr
 	}
@@ -478,19 +478,17 @@ func (c *campaign) classify(p *program.Program) (class string, skipped bool) {
 
 // report shrinks a violating program and assembles its ViolationReport,
 // writing the reproducer into the corpus directory when configured.
-// cycles is the violating run's length, which bounds the shrink probes.
-// liveness carries the rendered LivenessReport for KindLiveness (the
-// observed result is then empty — a wedged run commits no outcome).
+// outcome is the violation's recorded outcome: the observed result's
+// key, "wedged" or "panic". cycles is the violating run's length, which
+// bounds the Definition 2 and SC-policy shrink probes. detail is the
+// rendered LivenessReport for KindLiveness and the panic stack for
+// KindWorkerPanic.
 func (c *campaign) report(kind string, spec genSpec, genSeed int64, idx int,
 	prog *program.Program, mcfg machine.Config, machineSeed int64,
-	observed mem.Result, cycles uint64, liveness string, ws *workerState) (ViolationReport, error) {
+	outcome string, cycles uint64, detail string, ws *workerState) (ViolationReport, error) {
 
 	pred := c.violates(kind, mcfg, machineSeed, cycles, ws)
 	shrunk, steps := Shrink(prog, pred, c.cfg.MaxShrinkTries)
-	outcome := observed.Key()
-	if kind == KindLiveness {
-		outcome = "wedged"
-	}
 	rep := ViolationReport{
 		Kind:         kind,
 		Program:      shrunk.Name,
@@ -503,88 +501,88 @@ func (c *campaign) report(kind string, spec genSpec, genSeed int64, idx int,
 		Instructions: instructionCount(shrunk),
 		ShrinkSteps:  steps,
 		Litmus:       formatProgram(shrunk),
-		Liveness:     liveness,
 	}
-	return rep, c.writeCorpus(&rep)
-}
-
-// reportPanic assembles the KindWorkerPanic report for a recovered
-// panic, shrinking the program against a "still panics" predicate run on
-// fresh (never pooled) machines — the reproducer pipeline's analogue of
-// the liveness path. The predicate covers the simulate-plus-fault-hook
-// region; a panic rooted elsewhere (oracle internals) simply shrinks
-// zero steps and keeps the full program.
-func (c *campaign) reportPanic(spec genSpec, genSeed int64, idx int,
-	prog *program.Program, mcfg machine.Config, machineSeed int64, stack string) (ViolationReport, error) {
-
-	shrinkCfg := mcfg
-	shrinkCfg.MaxCycles = shrinkMaxCycles
-	pred := func(cand *program.Program) (panics bool) {
-		defer func() {
-			if recover() != nil {
-				panics = true
-			}
-		}()
-		res, err := machine.Run(cand, shrinkCfg, machineSeed)
-		if err != nil {
-			return false
-		}
-		if c.cfg.Fault != nil {
-			c.cfg.Fault(shrinkCfg, cand, res)
-		}
-		return false
-	}
-	shrunk, steps := Shrink(prog, pred, c.cfg.MaxShrinkTries)
-	rep := ViolationReport{
-		Kind:         KindWorkerPanic,
-		Program:      shrunk.Name,
-		Generator:    spec.name,
-		GenSeed:      genSeed,
-		ProgramIndex: idx,
-		Config:       describeConfig(mcfg),
-		MachineSeed:  machineSeed,
-		Outcome:      "panic",
-		Instructions: instructionCount(shrunk),
-		ShrinkSteps:  steps,
-		Litmus:       formatProgram(shrunk),
-		Stack:        stack,
+	switch kind {
+	case KindLiveness:
+		rep.Liveness = detail
+	case KindWorkerPanic:
+		rep.Stack = detail
 	}
 	return rep, c.writeCorpus(&rep)
 }
 
 // violates builds the shrinker predicate: does the candidate program
-// still exhibit the violation under the same config and machine seed,
-// within shrinkBudget(cycles) of the violating run's cycles?
-// Definition 2 candidates must additionally stay DRF0 — otherwise
-// shrinking could land on a legitimately-racy program whose non-SC
-// outcome is no bug, making the corpus entry spurious.
+// still break kind's contract under the same config and machine seed?
+// Definition 2 and SC-policy probes stop at shrinkBudget(cycles) of the
+// violating run's cycles; a wedged liveness probe burns its whole
+// budget, so it gets the tight one. Definition 2 candidates must
+// additionally stay DRF0 — otherwise shrinking could land on a
+// legitimately-racy program whose non-SC outcome is no bug, making the
+// corpus entry spurious.
 func (c *campaign) violates(kind string, mcfg machine.Config, machineSeed int64, cycles uint64, ws *workerState) func(*program.Program) bool {
-	shrinkCfg := mcfg
-	shrinkCfg.MaxCycles = shrinkBudget(cycles)
-	if kind == KindLiveness {
-		// A liveness candidate reproduces iff it still wedges: each probe
-		// burns its entire cycle budget, so use the tight one.
-		shrinkCfg.MaxCycles = livenessShrinkMaxCycles
-		return func(cand *program.Program) bool {
-			_, err := ws.pool.RunPooled(cand, shrinkCfg, machineSeed)
-			var le *machine.LivenessError
-			return errors.As(err, &le)
-		}
+	switch kind {
+	case KindLiveness:
+		mcfg.MaxCycles = livenessShrinkMaxCycles
+	case KindWorkerPanic:
+		mcfg.MaxCycles = shrinkMaxCycles
+	default:
+		mcfg.MaxCycles = shrinkBudget(cycles)
 	}
 	return func(cand *program.Program) bool {
 		if kind == KindDefinition2 && !c.candidateDRF(cand, ws) {
 			return false
 		}
-		res, err := ws.pool.RunPooled(cand, shrinkCfg, machineSeed)
-		if err != nil {
-			return false
-		}
-		if c.cfg.Fault != nil {
-			c.cfg.Fault(mcfg, cand, res)
-		}
-		m, err := c.decide(cand, res.Result)
-		return err == nil && !m.OK
+		broken, _, err := c.probe(kind, cand, mcfg, machineSeed, ws)
+		return err == nil && broken
 	}
+}
+
+// probe runs cand once on ws's machine pool and judges the run by
+// kind's contract, the one judgment both the shrinker and Replay make:
+// SC-policy and Definition 2 runs must appear SC, a run must not wedge
+// (KindLiveness), and checking it must not panic (KindWorkerPanic). It
+// reports whether the run breaks the contract, with the unformatted
+// evidence — the observed result, the *machine.LivenessReport or the
+// panic value — and an error for a run it cannot judge: one that fails
+// otherwise, or whose appears-SC decision does not finish. The
+// campaign's fault hook runs after every completed run but a liveness
+// probe's, on mcfg. A worker-panic probe covers the run and the hook, so
+// a panic rooted elsewhere (oracle internals) shrinks zero steps; a
+// recovered panic replaces ws.pool, since a half-stepped pooled machine
+// must not be reused.
+func (c *campaign) probe(kind string, cand *program.Program, mcfg machine.Config, seed int64, ws *workerState) (broken bool, evidence any, err error) {
+	if kind == KindWorkerPanic {
+		defer func() {
+			if r := recover(); r != nil {
+				ws.pool = machine.NewPool()
+				broken, evidence, err = true, r, nil
+			}
+		}()
+	}
+	res, err := ws.pool.RunPooled(cand, mcfg, seed)
+	var le *machine.LivenessError
+	switch {
+	case kind == KindLiveness:
+		if errors.As(err, &le) {
+			return true, le.Report, nil
+		}
+		return false, nil, err
+	case kind == KindWorkerPanic && errors.As(err, &le):
+		return false, nil, nil // a wedge is no panic
+	case err != nil:
+		return false, nil, err
+	}
+	if c.cfg.Fault != nil {
+		c.cfg.Fault(mcfg, cand, res)
+	}
+	if kind == KindWorkerPanic {
+		return false, nil, nil
+	}
+	m, err := c.decide(cand, res.Result)
+	if err != nil {
+		return false, nil, err
+	}
+	return !m.OK, res.Result, nil
 }
 
 // candidateDRF answers whether a shrink candidate obeys DRF0, from
