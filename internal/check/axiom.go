@@ -173,9 +173,7 @@ func AxiomDiff(p *program.Program, cfg AxiomDiffConfig) (AxiomDiffResult, error)
 	if !v.Stats.Complete {
 		return skip("axiomatic DRF0 search incomplete")
 	}
-	drfCfg := enumCfg
-	drfCfg.PreserveSyncOrder = true
-	opv, err := drf.Check(p, hb.SyncAll, drf.CheckConfig{Enum: drfCfg})
+	opv, err := drf.Check(p, hb.SyncAll, drf.CheckConfig{Enum: enumCfg})
 	if errors.Is(err, ideal.ErrBudget) {
 		return skip("operational DRF check over budget")
 	}

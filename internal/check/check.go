@@ -208,17 +208,13 @@ func shrinkBudget(cycles uint64) uint64 {
 	return min(shrinkMaxCycles, 8*cycles+1_000)
 }
 
-// boundedDRFConfig bounds the DRF classification. Reduction needs
-// PreserveSyncOrder here: the hb builders order same-address
-// synchronization pairs by completion order even when both only read,
-// so those pairs must not commute.
+// boundedDRFConfig bounds the DRF classification.
 func boundedDRFConfig() drf.CheckConfig {
 	return drf.CheckConfig{Enum: ideal.EnumConfig{
-		Interp:            ideal.Config{MaxMemOpsPerThread: oracleMemOpsPerThread},
-		SkipTruncated:     true,
-		MaxPaths:          drfCheckMaxPaths,
-		Reduce:            true,
-		PreserveSyncOrder: true,
+		Interp:        ideal.Config{MaxMemOpsPerThread: oracleMemOpsPerThread},
+		SkipTruncated: true,
+		MaxPaths:      drfCheckMaxPaths,
+		Reduce:        true,
 	}}
 }
 

@@ -66,8 +66,12 @@ func (v Verdict) String() string {
 }
 
 // Check decides whether p obeys DRF0 (or the refined model selected by
-// mode) by exhaustive enumeration.
+// mode) by exhaustive enumeration. Under cfg.Enum.Reduce it keeps
+// same-address synchronization pairs ordered (PreserveSyncOrder): the
+// happens-before builders order such pairs by completion order even
+// when both only read, so they must not commute.
 func Check(p *program.Program, mode hb.SyncMode, cfg CheckConfig) (Verdict, error) {
+	cfg.Enum.PreserveSyncOrder = true
 	var v Verdict
 	v.DRF = true
 	seen := make(map[raceKey]bool)

@@ -445,11 +445,9 @@ func boundedEnum() ideal.EnumConfig {
 }
 
 // reducedEnum is boundedEnum with partial-order reduction for the race
-// checkers: PreserveSyncOrder keeps same-address synchronization pairs
-// ordered, which the happens-before builders require.
+// checkers.
 func reducedEnum() ideal.EnumConfig {
 	cfg := boundedEnum()
 	cfg.Reduce = true
-	cfg.PreserveSyncOrder = true
 	return cfg
 }
