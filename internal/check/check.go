@@ -49,8 +49,9 @@ const (
 	// ClassDRF: the program obeys DRF0 (by construction or by bounded
 	// exhaustive check) and is covered by the Definition 2 oracle.
 	ClassDRF = "drf"
-	// ClassRacy: the program races (or its DRF check exceeded budget);
-	// its outcomes feed the coverage table only.
+	// ClassRacy: the program races (or its DRF check overran, which the
+	// Summary records as a skip); its outcomes feed the coverage table
+	// only.
 	ClassRacy = "racy"
 )
 
@@ -453,13 +454,17 @@ func summarize(cfg CampaignConfig, configs int, outs []progOutcome) *Summary {
 				}
 			default:
 				s.Oracle.Fallbacks++
-				if rec.Budget {
-					s.Oracle.BudgetExceeded++
-				}
 			}
 		}
 	}
-	s.DeadlineSkips = len(s.Skips)
+	for _, sk := range s.Skips {
+		switch {
+		case sk.Reason == "deadline":
+			s.DeadlineSkips++
+		case sk.Stage == "oracle" && sk.Reason == "budget":
+			s.Oracle.BudgetExceeded++
+		}
+	}
 	for cell, sims := range covSims {
 		s.Coverage = append(s.Coverage, CoverageRow{
 			Policy:        cell.Policy,

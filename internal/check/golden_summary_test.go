@@ -103,7 +103,7 @@ func TestGoldenCampaignVerdicts(t *testing.T) {
 			Policies:   []policy.Kind{policy.SC, policy.WODef2},
 			Topologies: []machine.Topology{machine.TopoNetwork},
 			Faults:     &severe,
-		}, want: "f4cf0cf4f21ce8d35d8d65670f1fb3a33c82d6ff80fe4f41c78654d7715596f3"},
+		}, want: "9ff3bac23f9365c931f2848cfd1243159597c415f788344aa7c6df18b2f67fbc"},
 		{name: "search-only", cfg: CampaignConfig{
 			Seed: 7, Programs: 32, SeedsPerConfig: 1, NoSatFast: true,
 		}, want: "4fbe72a352beab7188b9e8af4dc7a2d260e3a504a9528f79bfee1258a5b2f997"},

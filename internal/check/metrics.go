@@ -41,11 +41,11 @@ func (s *Summary) Metrics() *metrics.Snapshot {
 		r.SetCounter(pre+"distinct_non_sc", uint64(row.DistinctNonSC))
 	}
 
-	// Robustness counters: recovered worker panics and per-check deadline
-	// skips, total and broken down by the stage that hit its budget. The
-	// per-stage series carry the stage as a Prometheus label
-	// (weakorder_check_skips_total{stage="oracle"}) instead of minting a
-	// new metric name per stage.
+	// Robustness counters: recovered worker panics, per-check deadline
+	// skips, and every skip (budget or deadline) broken down by the stage
+	// that overran. The per-stage series carry the stage as a Prometheus
+	// label (weakorder_check_skips_total{stage="oracle"}) instead of
+	// minting a new metric name per stage.
 	r.SetCounter("check.panic.recovered", uint64(s.WorkerPanics))
 	r.SetCounter("check.deadline.skips", uint64(s.DeadlineSkips))
 	byStage := make(map[string]int)

@@ -130,18 +130,22 @@ type ViolationReport struct {
 	Checksum string `json:"checksum,omitempty"`
 }
 
-// SkipRecord logs one oracle decision abandoned on its per-check
-// wall-clock deadline (CampaignConfig.CheckDeadline): the simulation ran,
-// but its appears-SC classification (stage "oracle") or the program's
-// DRF classification (stage "classify", recorded with a zero config and
-// seed) exceeded the budget and was skipped instead of hanging a worker.
+// SkipRecord logs one check that stopped undecided: a simulation's
+// appears-SC decision (stage "oracle") or the program's DRF
+// classification (stage "classify", recorded with a zero config and
+// seed) overran its search budget or its per-check wall-clock deadline
+// (CampaignConfig.CheckDeadline). An undecided check is recorded here
+// instead of counting as a pass; an oracle skip adjudicates nothing,
+// and a classify skip leaves the program racy (coverage only).
 type SkipRecord struct {
 	ProgramIndex int        `json:"programIndex"`
 	Config       ConfigDesc `json:"config"`
 	MachineSeed  int64      `json:"machineSeed"`
 	// Stage names the abandoned computation: "oracle" or "classify".
 	Stage string `json:"stage"`
-	// Reason is currently always "deadline".
+	// Reason names the overrun: "budget" (the search exhausted its state
+	// or path budget; deterministic) or "deadline" (host-speed
+	// dependent).
 	Reason string `json:"reason"`
 }
 
@@ -172,8 +176,9 @@ type OracleStats struct {
 	// those the fast path handed on, or every non-L1 query when
 	// CampaignConfig.NoSatFast disables the fast path.
 	Fallbacks int `json:"fallbacks"`
-	// BudgetExceeded counts searches that exceeded MaxStates; such
-	// results are conservatively treated as appearing SC.
+	// BudgetExceeded counts appears-SC decisions that exhausted their
+	// search budget: the oracle-stage "budget" skips in Summary.Skips.
+	// Such results adjudicate nothing and are not counted in Queries.
 	BudgetExceeded int `json:"budgetExceeded"`
 	// SatDecided counts queries the polynomial saturation fast path
 	// (internal/sat) decided outright, without a search. It splits into
@@ -211,13 +216,14 @@ type Summary struct {
 	// also appears as a KindWorkerPanic violation. Must be zero for a
 	// healthy checker.
 	WorkerPanics int `json:"workerPanics,omitempty"`
-	// DeadlineSkips counts oracle decisions abandoned on the per-check
-	// deadline; Skips lists them. Always zero when
-	// CampaignConfig.CheckDeadline is unset — deadline skips depend on
-	// wall-clock speed, so campaigns that must be byte-reproducible
+	// DeadlineSkips counts the Skips abandoned on the per-check deadline,
+	// in either stage; budget skips are not counted here. Always zero
+	// when CampaignConfig.CheckDeadline is unset — deadline skips depend
+	// on wall-clock speed, so campaigns that must be byte-reproducible
 	// (resume parity, cross-host comparison) run without a deadline.
 	DeadlineSkips int `json:"deadlineSkips,omitempty"`
-	// Skips lists the skipped checks, sorted like Violations.
+	// Skips lists the checks that stopped undecided, on a budget or a
+	// deadline, sorted like Violations.
 	Skips []SkipRecord `json:"skips,omitempty"`
 	// ByClass counts programs per class ("drf", "racy").
 	ByClass map[string]int `json:"byClass"`

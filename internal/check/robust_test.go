@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"weakorder/internal/faults"
+	"weakorder/internal/machine"
 	"weakorder/internal/metrics"
 	"weakorder/internal/policy"
 )
@@ -154,6 +156,42 @@ func TestCheckDeadlineOffIsReproducible(t *testing.T) {
 	}
 	if s.DeadlineSkips != 0 || len(s.Skips) != 0 {
 		t.Fatalf("deadline-free campaign recorded %d skips", len(s.Skips))
+	}
+}
+
+// TestBudgetOverrunIsSkip: a search that exhausts its state budget is
+// no verdict. In the faults-severe golden campaign, program 22 (handoff,
+// DRF0 by construction) observes a 2,465-read result on network+caches
+// under SC that sat hands on as too-large and the search gives up on. It
+// must be one oracle-stage budget skip, counted once: in
+// Oracle.BudgetExceeded, not in DeadlineSkips, and not as a query.
+func TestBudgetOverrunIsSkip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 32-program campaign under severe faults; skipped in -short")
+	}
+	severe := faults.Severe()
+	s, err := Run(CampaignConfig{
+		Seed: 1, Programs: 32, SeedsPerConfig: 1,
+		Policies:   []policy.Kind{policy.SC, policy.WODef2},
+		Topologies: []machine.Topology{machine.TopoNetwork},
+		Faults:     &severe,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Skips) != 1 {
+		t.Fatalf("got %d skips, want the one budget skip: %+v", len(s.Skips), s.Skips)
+	}
+	sk := s.Skips[0]
+	if sk.ProgramIndex != 22 || sk.Config.Policy != policy.SC.String() || !sk.Config.Caches ||
+		sk.MachineSeed != 1212620709172861362 || sk.Stage != "oracle" || sk.Reason != "budget" {
+		t.Errorf("skip %+v, want program 22 on network+caches/SC at seed 1212620709172861362, oracle, budget", sk)
+	}
+	if s.Oracle.BudgetExceeded != 1 || s.DeadlineSkips != 0 {
+		t.Errorf("budgetExceeded = %d, deadlineSkips = %d; want 1 and 0", s.Oracle.BudgetExceeded, s.DeadlineSkips)
+	}
+	if s.Oracle.Queries != s.Sims-1 {
+		t.Errorf("%d queries for %d sims: the skipped sim must not count as a query", s.Oracle.Queries, s.Sims)
 	}
 }
 

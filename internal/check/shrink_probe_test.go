@@ -128,9 +128,9 @@ func TestCandidateDRFMemoMatchesClassify(t *testing.T) {
 		}
 		stored += len(ws.drf)
 		for key, drf := range ws.drf {
-			class, skipped := c.classify(mustParse(t, key))
-			if skipped || (class == ClassDRF) != drf {
-				t.Errorf("program %d: memo says DRF=%v, classify says %s (skipped %v):\n%s", idx, drf, class, skipped, key)
+			class, skip := c.classify(mustParse(t, key))
+			if skip == "deadline" || (class == ClassDRF) != drf {
+				t.Errorf("program %d: memo says DRF=%v, classify says %s (skip %q):\n%s", idx, drf, class, skip, key)
 			}
 		}
 	}

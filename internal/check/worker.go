@@ -89,20 +89,18 @@ type simRecord struct {
 	Key string `json:"key"`
 	// AppearsSC is the oracle verdict; meaningless when Skipped != "".
 	AppearsSC bool `json:"appearsSC,omitempty"`
-	// Skipped, when non-empty, names why the oracle decision was
-	// abandoned (currently always "deadline"); the simulation ran but
-	// contributes no verdict.
+	// Skipped, when non-empty, names why the oracle decision stopped
+	// undecided ("budget" or "deadline", see overrun); the simulation
+	// ran but contributes no verdict.
 	Skipped string `json:"skipped,omitempty"`
 	// Oracle accounting, aggregated by summarize: L1 marks a query
 	// absorbed by the program-local memo, Sat one decided by the
 	// polynomial saturation fast path, and any other query ran the
-	// result-directed search; Budget marks a search that exceeded its
-	// state budget (conservatively SC). SatFallback, when non-empty, is
-	// the fast path's reason for handing the query to the search.
+	// result-directed search. SatFallback, when non-empty, is the fast
+	// path's reason for handing the query to the search.
 	L1          bool   `json:"l1,omitempty"`
 	Sat         bool   `json:"sat,omitempty"`
 	SatFallback string `json:"satFallback,omitempty"`
-	Budget      bool   `json:"budget,omitempty"`
 }
 
 // progOutcome is everything one program contributes to the summary. It
@@ -259,13 +257,13 @@ func (c *campaign) runProgram(idx int, ws *workerState) (out progOutcome, err er
 
 	class := spec.class
 	if class == "" {
-		var skipped bool
-		class, skipped = c.classify(prog)
-		if skipped {
+		var skip string
+		class, skip = c.classify(prog)
+		if skip != "" {
 			out.Skips = append(out.Skips, SkipRecord{
 				ProgramIndex: idx,
 				Stage:        "classify",
-				Reason:       "deadline",
+				Reason:       skip,
 			})
 		}
 	}
@@ -378,32 +376,28 @@ func (c *campaign) checkOne(out *progOutcome, ws *workerState, prog *program.Pro
 	if !rec.L1 {
 		m, derr := c.decide(prog, res.Result)
 		rec.Sat, rec.SatFallback = m.Sat, m.SatFallback
-		switch {
-		case errors.Is(derr, scmatch.ErrBudget):
-			// An exhausted search cannot disprove SC appearance: it is
-			// conservatively answered as appearing SC.
-			rec.AppearsSC, rec.Budget = true, true
-		case errors.Is(derr, scmatch.ErrCanceled):
-			// Deadline skip: the simulation ran, the verdict did not. Not
-			// memoized — a later identical observation gets a fresh budget
-			// — and not a violation either way.
-			out.Sims = append(out.Sims, simRecord{Policy: rec.Policy, Key: rec.Key, Skipped: "deadline"})
+		if skip := overrun(derr); skip != "" {
+			// The simulation ran, the verdict did not: an undecided query
+			// is a skip, never a pass. Not memoized — a later identical
+			// observation gets a fresh deadline — and not a violation
+			// either way.
+			out.Sims = append(out.Sims, simRecord{Policy: rec.Policy, Key: rec.Key, Skipped: skip})
 			out.Skips = append(out.Skips, SkipRecord{
 				ProgramIndex: idx,
 				Config:       describeConfig(mcfg),
 				MachineSeed:  machineSeed,
 				Stage:        "oracle",
-				Reason:       "deadline",
+				Reason:       skip,
 			})
 			if c.cfg.Logf != nil {
-				c.cfg.Logf("SKIP deadline: %s on %s (machine seed %d)", prog.Name, mcfg.Name(), machineSeed)
+				c.cfg.Logf("SKIP %s: %s on %s (machine seed %d)", skip, prog.Name, mcfg.Name(), machineSeed)
 			}
 			return false, nil
-		case derr != nil:
-			return false, fmt.Errorf("%s on %s: oracle: %w", prog.Name, mcfg.Name(), derr)
-		default:
-			rec.AppearsSC = m.OK
 		}
+		if derr != nil {
+			return false, fmt.Errorf("%s on %s: oracle: %w", prog.Name, mcfg.Name(), derr)
+		}
+		rec.AppearsSC = m.OK
 		l1[rec.Key] = rec.AppearsSC
 	}
 	out.Sims = append(out.Sims, rec)
@@ -463,17 +457,32 @@ func isWeaklyOrdered(pol policy.Kind) bool {
 }
 
 // classify decides whether a program obeys DRF0 by bounded exhaustive
-// check; budget (or deadline) overruns conservatively classify as racy —
-// coverage only, no violation oracle — with the second return reporting
-// a deadline skip.
-func (c *campaign) classify(p *program.Program) (class string, skipped bool) {
+// check. A check that overruns classifies as racy — coverage only, no
+// violation oracle — and skip names the overrun, which the caller
+// records.
+func (c *campaign) classify(p *program.Program) (class, skip string) {
 	cfg := boundedDRFConfig()
 	cfg.Enum.Cancel = c.deadlineHook()
 	v, err := drf.Check(p, hb.SyncAll, cfg)
 	if err != nil || !v.DRF {
-		return ClassRacy, errors.Is(err, ideal.ErrCanceled)
+		return ClassRacy, overrun(err)
 	}
-	return ClassDRF, false
+	return ClassDRF, ""
+}
+
+// overrun names why a check stopped undecided: "budget" when its
+// search exhausted its state or path budget, "deadline" when
+// CampaignConfig.CheckDeadline canceled it, "" for any other outcome.
+// A budget overrun is deterministic; a deadline one depends on host
+// speed.
+func overrun(err error) string {
+	switch {
+	case errors.Is(err, scmatch.ErrBudget), errors.Is(err, ideal.ErrBudget):
+		return "budget"
+	case errors.Is(err, scmatch.ErrCanceled), errors.Is(err, ideal.ErrCanceled):
+		return "deadline"
+	}
+	return ""
 }
 
 // report shrinks a violating program and assembles its ViolationReport,
@@ -586,17 +595,18 @@ func (c *campaign) probe(kind string, cand *program.Program, mcfg machine.Config
 }
 
 // candidateDRF answers whether a shrink candidate obeys DRF0, from
-// ws.drf when the program's shrinking already classified it. A
-// deadline-skipped classification is not stored: a later probe of the
-// same candidate gets a fresh budget.
+// ws.drf when the program's shrinking already classified it. A budget
+// overrun is deterministic, so its racy answer is stored; a
+// deadline-skipped classification is not: a later probe of the same
+// candidate gets a fresh deadline.
 func (c *campaign) candidateDRF(cand *program.Program, ws *workerState) bool {
 	key := formatProgram(cand)
 	if drf, ok := ws.drf[key]; ok {
 		return drf
 	}
-	class, skipped := c.classify(cand)
+	class, skip := c.classify(cand)
 	drf := class == ClassDRF
-	if !skipped {
+	if skip != "deadline" {
 		ws.drf[key] = drf
 	}
 	return drf
