@@ -55,7 +55,7 @@ func enumOutcomes(t *testing.T, p *program.Program, cfg ideal.EnumConfig) (out m
 }
 
 // matchVerdict runs the result-directed search; budget-exceeded is its
-// own verdict value (the oracle treats it as conservatively SC).
+// own verdict value (the campaign records it as a budget skip).
 func matchVerdict(t *testing.T, p *program.Program, r mem.Result, noReduce bool) (ok, budget bool) {
 	t.Helper()
 	m, err := scmatch.Matches(p, r, scmatch.Config{

@@ -95,7 +95,7 @@ func (d ConfigDesc) Machine() (machine.Config, error) {
 // ViolationReport records one contract violation: where it was found,
 // how to reproduce it, and the minimal program the shrinker reached.
 type ViolationReport struct {
-	// Kind classifies the broken oracle (KindSCPolicy or KindDefinition2).
+	// Kind names the broken contract: one of the Kind* constants.
 	Kind string `json:"kind"`
 	// Program is the (shrunk) program's name.
 	Program string `json:"program"`

@@ -379,8 +379,8 @@ func (c *campaign) checkOne(out *progOutcome, ws *workerState, prog *program.Pro
 		if skip := overrun(derr); skip != "" {
 			// The simulation ran, the verdict did not: an undecided query
 			// is a skip, never a pass. Not memoized — a later identical
-			// observation gets a fresh deadline — and not a violation
-			// either way.
+			// observation is decided afresh — and not a violation either
+			// way.
 			out.Sims = append(out.Sims, simRecord{Policy: rec.Policy, Key: rec.Key, Skipped: skip})
 			out.Skips = append(out.Skips, SkipRecord{
 				ProgramIndex: idx,

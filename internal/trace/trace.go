@@ -3,9 +3,11 @@
 // Section 5.1 conditions promise — write serialization (condition 2) and
 // synchronization atomicity (condition 3).
 //
-// The checkers run on *any* execution, so tests apply them to every
-// simulator run: a protocol bug that breaks coherence fails these checks
-// even when the end-to-end result happens to look plausible.
+// The checkers run on any execution: a protocol bug that breaks
+// coherence fails them even when the end-to-end result happens to look
+// plausible. Only some tests apply them — internal/snoop's tests, the
+// cache fuzz test, and internal/machine's migration and snoopy-bus
+// tests; other simulator runs, campaign runs included, go unchecked.
 package trace
 
 import (
