@@ -301,6 +301,9 @@ func BenchmarkMachineStep(b *testing.B) {
 // assembles the full component graph per run (machine.Run), "pooled"
 // resets one machine in place (machine.Pool). Results are byte-identical
 // (pinned by TestPooledMachineByteIdentical); only cost differs.
+// "pooled-short" runs SB on the bus, 45 cycles a run, 100 runs an op, so
+// a pooled run's fixed cost dominates it: a reset that ran math/rand's
+// serial Seed again would make it about 2.8x slower.
 func BenchmarkMachineReuse(b *testing.B) {
 	prog := litmus.CriticalSection(3, 2)
 	cfg := machine.Config{Policy: policy.WODef2, Topology: machine.TopoNetwork, Caches: true}
@@ -318,6 +321,22 @@ func BenchmarkMachineReuse(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	b.Run("pooled-short", func(b *testing.B) {
+		const runs = 100 // per op, so that the gate's three ops time a stable amount
+		sb := litmus.SB()
+		bus := machine.Config{Policy: policy.WODef2, Topology: machine.TopoBus, Caches: true}
+		pool := machine.NewPool()
+		if _, err := pool.RunPooled(sb, bus, -1); err != nil {
+			b.Fatal(err) // warm the pool outside the timed region
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N*runs; i++ {
+			if _, err := pool.RunPooled(sb, bus, int64(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*runs), "ns/run")
 	})
 }
 

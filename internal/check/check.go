@@ -187,7 +187,6 @@ func (c CampaignConfig) withDefaults() CampaignConfig {
 // results stay decidable.
 const (
 	oracleMemOpsPerThread = 16
-	oracleMatchMaxStates  = 300_000
 	drfCheckMaxPaths      = 100_000
 	campaignMaxCycles     = 500_000
 	shrinkMaxCycles       = 200_000
@@ -196,6 +195,10 @@ const (
 	// budget itself.
 	livenessShrinkMaxCycles = 50_000
 )
+
+// oracleMatchMaxStates bounds the result-directed search. It is a
+// variable only so that a test can make searches overrun.
+var oracleMatchMaxStates = 300_000
 
 // shrinkBudget is the watchdog of the shrink probes for a violation
 // whose run took cycles. A candidate is a reduction of that run's

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -160,38 +161,66 @@ func TestCheckDeadlineOffIsReproducible(t *testing.T) {
 }
 
 // TestBudgetOverrunIsSkip: a search that exhausts its state budget is
-// no verdict. In the faults-severe golden campaign, program 22 (handoff,
-// DRF0 by construction) observes a 2,465-read result on network+caches
-// under SC that sat hands on as too-large and the search gives up on. It
-// must be one oracle-stage budget skip, counted once: in
-// Oracle.BudgetExceeded, not in DeadlineSkips, and not as a query.
+// no verdict. At the default budget the faults-severe golden campaign
+// judges every result, including program 22's (handoff, DRF0 by
+// construction): a 2,465-read result on network+caches under SC that
+// the search gives up on and only saturation decides. With the budget
+// lowered to 10 states, its searches overrun: each overrun must be one
+// oracle-stage budget skip, counted once (in Oracle.BudgetExceeded, not
+// in DeadlineSkips, and not as a query), and the summary must not
+// depend on the worker count.
 func TestBudgetOverrunIsSkip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("a 32-program campaign under severe faults; skipped in -short")
-	}
 	severe := faults.Severe()
-	s, err := Run(CampaignConfig{
+	cfg := CampaignConfig{
 		Seed: 1, Programs: 32, SeedsPerConfig: 1,
 		Policies:   []policy.Kind{policy.SC, policy.WODef2},
 		Topologies: []machine.Topology{machine.TopoNetwork},
 		Faults:     &severe,
-	})
+	}
+	s, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Skips) != 1 {
-		t.Fatalf("got %d skips, want the one budget skip: %+v", len(s.Skips), s.Skips)
+	if len(s.Skips) != 0 || s.Oracle.BudgetExceeded != 0 || s.Oracle.Queries != s.Sims {
+		t.Fatalf("default budget: %d skips, budgetExceeded = %d, %d queries for %d sims; want every result judged, program 22 included: %+v",
+			len(s.Skips), s.Oracle.BudgetExceeded, s.Oracle.Queries, s.Sims, s.Skips)
 	}
-	sk := s.Skips[0]
-	if sk.ProgramIndex != 22 || sk.Config.Policy != policy.SC.String() || !sk.Config.Caches ||
-		sk.MachineSeed != 1212620709172861362 || sk.Stage != "oracle" || sk.Reason != "budget" {
-		t.Errorf("skip %+v, want program 22 on network+caches/SC at seed 1212620709172861362, oracle, budget", sk)
-	}
-	if s.Oracle.BudgetExceeded != 1 || s.DeadlineSkips != 0 {
-		t.Errorf("budgetExceeded = %d, deadlineSkips = %d; want 1 and 0", s.Oracle.BudgetExceeded, s.DeadlineSkips)
-	}
-	if s.Oracle.Queries != s.Sims-1 {
-		t.Errorf("%d queries for %d sims: the skipped sim must not count as a query", s.Oracle.Queries, s.Sims)
+
+	states := oracleMatchMaxStates
+	t.Cleanup(func() { oracleMatchMaxStates = states })
+	oracleMatchMaxStates = 10
+	var first []byte
+	for _, workers := range []int{1, 4} {
+		cfg.Workers = workers
+		s, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.Skips) == 0 {
+			t.Fatalf("workers=%d: no search overran a 10-state budget", workers)
+		}
+		for _, sk := range s.Skips {
+			if sk.Stage != "oracle" || sk.Reason != "budget" {
+				t.Errorf("workers=%d: skip %+v, want stage oracle, reason budget", workers, sk)
+			}
+		}
+		if s.Oracle.BudgetExceeded != len(s.Skips) || s.DeadlineSkips != 0 {
+			t.Errorf("workers=%d: budgetExceeded = %d, deadlineSkips = %d; want %d and 0",
+				workers, s.Oracle.BudgetExceeded, s.DeadlineSkips, len(s.Skips))
+		}
+		if s.Oracle.Queries != s.Sims-len(s.Skips) {
+			t.Errorf("workers=%d: %d queries for %d sims and %d skips: a skipped sim must not count as a query",
+				workers, s.Oracle.Queries, s.Sims, len(s.Skips))
+		}
+		b, err := s.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = b
+		} else if !bytes.Equal(b, first) {
+			t.Errorf("workers=%d: summary differs from the one-worker summary", workers)
+		}
 	}
 }
 

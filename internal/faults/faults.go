@@ -150,13 +150,14 @@ func parsePreset(name string) (Plan, error) {
 // Enabled reports whether the plan perturbs any message.
 func (p Plan) Enabled() bool { return p.Drop > 0 || p.Dup > 0 || p.Delay > 0 }
 
-// Validate rejects malformed plans.
+// Validate rejects malformed plans. A NaN probability is outside
+// [0,1] too.
 func (p Plan) Validate() error {
 	for _, pr := range []struct {
 		name string
 		v    float64
 	}{{"Drop", p.Drop}, {"Dup", p.Dup}, {"Delay", p.Delay}} {
-		if pr.v < 0 || pr.v > 1 {
+		if !(pr.v >= 0 && pr.v <= 1) {
 			return fmt.Errorf("faults: %s probability %v outside [0,1]", pr.name, pr.v)
 		}
 	}

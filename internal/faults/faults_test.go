@@ -213,21 +213,24 @@ func TestParseAndValidate(t *testing.T) {
 	}
 }
 
+// customSpecs are specs Parse accepts, each with the plan it means.
+var customSpecs = []struct {
+	spec string
+	want Plan
+}{
+	{"drop=0.1", Plan{Drop: 0.1}},
+	{"drop=0.1,dup=0.05", Plan{Drop: 0.1, Dup: 0.05}},
+	{"delay=0.2,maxdelay=32", Plan{Delay: 0.2, MaxExtraDelay: 32}},
+	{" Drop=0.1 , NORETRY ", Plan{Drop: 0.1, DisableRetry: true}},
+	{"severe,drop=0.5", func() Plan { p := Severe(); p.Drop = 0.5; return p }()},
+	{"mild,noretry", func() Plan { p := Mild(); p.DisableRetry = true; return p }()},
+	{"drop=0", Plan{}},
+}
+
 // TestParseCustomSpecs covers the key=value plan grammar: bare specs,
 // preset-plus-override, and the noretry flag.
 func TestParseCustomSpecs(t *testing.T) {
-	for _, tc := range []struct {
-		spec string
-		want Plan
-	}{
-		{"drop=0.1", Plan{Drop: 0.1}},
-		{"drop=0.1,dup=0.05", Plan{Drop: 0.1, Dup: 0.05}},
-		{"delay=0.2,maxdelay=32", Plan{Delay: 0.2, MaxExtraDelay: 32}},
-		{" Drop=0.1 , NORETRY ", Plan{Drop: 0.1, DisableRetry: true}},
-		{"severe,drop=0.5", func() Plan { p := Severe(); p.Drop = 0.5; return p }()},
-		{"mild,noretry", func() Plan { p := Mild(); p.DisableRetry = true; return p }()},
-		{"drop=0", Plan{}},
-	} {
+	for _, tc := range customSpecs {
 		got, err := Parse(tc.spec)
 		if err != nil {
 			t.Errorf("Parse(%q): %v", tc.spec, err)
@@ -239,32 +242,39 @@ func TestParseCustomSpecs(t *testing.T) {
 	}
 }
 
+// badSpecs are specs Parse rejects, each with a fragment of its
+// diagnostic.
+var badSpecs = []struct {
+	spec    string
+	wantSub string
+}{
+	{"catastrophic", "bad plan field"},
+	{"drop", "bad plan field"},
+	{"drop=", "bad plan field"},
+	{"=0.1", "unknown plan field"},
+	{"drop=abc", "bad drop probability"},
+	{"drop=1.5", "outside [0,1]"},
+	{"drop=-0.1", "outside [0,1]"},
+	{"dup=2", "outside [0,1]"},
+	{"drop=NaN", "outside [0,1]"},
+	{"dup=nan", "outside [0,1]"},
+	{"severe,delay=NaN", "outside [0,1]"},
+	{"delay=0.2", "without maxdelay"},
+	{"delay=0.2,maxdelay=0", "bad maxdelay"},
+	{"delay=0.2,maxdelay=-3", "bad maxdelay"},
+	{"delay=0.2,maxdelay=many", "bad maxdelay"},
+	{"maxdelay=1x", "bad maxdelay"},
+	{"jitter=0.1", "unknown plan field"},
+	{"noretry=yes", "unknown plan field"},
+	{"mild,turbo=1", "unknown plan field"},
+	{"drop=0.1,,dup=0.1", "bad plan field"},
+}
+
 // TestParseErrors is the table of malformed plan specs: every one must
 // be rejected with a diagnostic naming the offending field, never
 // silently coerced into a plan.
 func TestParseErrors(t *testing.T) {
-	for _, tc := range []struct {
-		spec    string
-		wantSub string
-	}{
-		{"catastrophic", "bad plan field"},
-		{"drop", "bad plan field"},
-		{"drop=", "bad plan field"},
-		{"=0.1", "unknown plan field"},
-		{"drop=abc", "bad drop probability"},
-		{"drop=1.5", "outside [0,1]"},
-		{"drop=-0.1", "outside [0,1]"},
-		{"dup=2", "outside [0,1]"},
-		{"delay=0.2", "without maxdelay"},
-		{"delay=0.2,maxdelay=0", "bad maxdelay"},
-		{"delay=0.2,maxdelay=-3", "bad maxdelay"},
-		{"delay=0.2,maxdelay=many", "bad maxdelay"},
-		{"maxdelay=1x", "bad maxdelay"},
-		{"jitter=0.1", "unknown plan field"},
-		{"noretry=yes", "unknown plan field"},
-		{"mild,turbo=1", "unknown plan field"},
-		{"drop=0.1,,dup=0.1", "bad plan field"},
-	} {
+	for _, tc := range badSpecs {
 		p, err := Parse(tc.spec)
 		if err == nil {
 			t.Errorf("Parse(%q) accepted as %+v, want error containing %q", tc.spec, p, tc.wantSub)

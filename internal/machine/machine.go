@@ -888,8 +888,9 @@ func (m *Machine) Run() (*RunResult, error) {
 // finalState reads the final value of every program-visible address:
 // a dirty cached copy wins over memory.
 func (m *Machine) finalState() map[mem.Addr]mem.Value {
-	out := make(map[mem.Addr]mem.Value)
-	for _, a := range m.prog.Addresses() {
+	addrs := m.prog.Addresses()
+	out := make(map[mem.Addr]mem.Value, len(addrs))
+	for _, a := range addrs {
 		if m.snoopBus != nil {
 			v := m.snoopBus.MemValue(a)
 			for _, sc := range m.snoopCaches {

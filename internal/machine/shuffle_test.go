@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -94,6 +95,31 @@ func TestArbiterMatchesMathRand(t *testing.T) {
 				if g, w := a.next(), ref.Int63(); g != w {
 					t.Fatalf("n=%d seed=%d: draw %d after the walks is %d, want %d", n, seed, k, g, w)
 				}
+			}
+		}
+	}
+}
+
+// The arbiter reduces the seed as math/rand's Seed does: mod 2^31-1
+// with a negative remainder lifted, and 0 replaced by 89482311. These
+// seeds reach each branch once XORed with 0x5eed (0, the modulus and
+// the replacement itself), along with negative seeds, seeds of 2^31 and
+// more, the extremes and the two machine seeds that wedge WO-Def2+RO on
+// the network. Each stream must be math/rand's for 3,000 draws, well
+// past the 607 drawn from the register words.
+func TestArbiterSeedReduction(t *testing.T) {
+	for _, seed := range []int64{
+		0x5eed, (1<<31 - 1) ^ 0x5eed, 89482311 ^ 0x5eed,
+		-1, 1 << 40, -1 << 40,
+		math.MinInt64, math.MaxInt64,
+		5220603417673261993, 8521715790124684172,
+	} {
+		ref := rand.NewSource(seed ^ 0x5eed)
+		var a arbiter
+		a.seed(seed)
+		for k := 0; k < 3000; k++ {
+			if g, w := a.next(), ref.Int63(); g != w {
+				t.Fatalf("seed %d: draw %d is %d, want %d", seed, k, g, w)
 			}
 		}
 	}

@@ -248,17 +248,21 @@ type Result struct {
 	Final map[Addr]Value
 }
 
-// ResultOf extracts the Result of an execution.
+// ResultOf extracts the Result of an execution. It counts the
+// observable reads first, so both maps are made at their final size.
 func ResultOf(e *Execution) Result {
+	reads := 0
+	for _, op := range e.Ops {
+		if observable(op) {
+			reads++
+		}
+	}
 	r := Result{
-		Reads: make(map[OpID]ReadObservation),
+		Reads: make(map[OpID]ReadObservation, reads),
 		Final: make(map[Addr]Value, len(e.Final)),
 	}
 	for _, op := range e.Ops {
-		if op.Proc < 0 {
-			continue // augmentation operations are not observable
-		}
-		if op.HasReadComponent() {
+		if observable(op) {
 			r.Reads[op.ID()] = ReadObservation{ID: op.ID(), Addr: op.Addr, Value: op.Got}
 		}
 	}
@@ -267,6 +271,10 @@ func ResultOf(e *Execution) Result {
 	}
 	return r
 }
+
+// observable reports whether op's value is part of a Result: it reads
+// and is not an augmentation operation.
+func observable(op Op) bool { return op.Proc >= 0 && op.HasReadComponent() }
 
 // Equal reports whether two results are indistinguishable: identical read
 // observations and identical final state over the union of touched

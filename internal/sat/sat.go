@@ -126,11 +126,12 @@ type Config struct {
 }
 
 // DefaultMaxEvents bounds the event graph. Its closure takes
-// 2·n·⌈n/64⌉ words for n events (two bit rows per node), about 1 MB at
-// the bound. Campaign results stay far below it; anything larger (deep
-// spin loops) is the regime where the search's observation pruning
-// does well anyway.
-const DefaultMaxEvents = 2048
+// 2·n·⌈n/64⌉ words for n events (two bit rows per node), about 4 MiB at
+// the bound. Campaign results stay far below it, and the results that
+// reach this size are ones the search cannot be left with: a
+// 2,480-event handoff result under severe faults exhausts the search's
+// state budget, while saturation decides it in milliseconds.
+const DefaultMaxEvents = 4096
 
 // maxLocalSteps bounds register-only instructions between memory
 // operations during replay, mirroring ideal.DefaultMaxLocalSteps.
