@@ -9,8 +9,14 @@
 // IR: OpSyncLoad/OpSyncStore/OpTAS/OpSwap are the recognizable
 // synchronization opcodes and each names exactly one location. Condition
 // (2) is checked by exhaustively enumerating idealized executions
-// (package ideal), augmenting each with the initial/final boundary
-// operations (package hb), and searching for conflicting unordered pairs.
+// (package ideal) and deciding each with one vector-clock pass (package
+// vclock). Only an execution the pass reports is explained: augmented
+// with the initial/final boundary operations and searched for
+// conflicting unordered pairs (package hb), which yields the races and
+// the witness. The two agree exactly: augmentation adds only boundary
+// synchronization operations that are first or last in program order,
+// so it never orders two real operations, and the detector's clock
+// comparison is happens-before reachability between real operations.
 //
 // The package also supports the Section 6 refinement via
 // hb.SyncWriterOrdered, under which read-only synchronization operations
@@ -25,6 +31,7 @@ import (
 	"weakorder/internal/ideal"
 	"weakorder/internal/mem"
 	"weakorder/internal/program"
+	"weakorder/internal/vclock"
 )
 
 // CheckConfig bounds the exhaustive check.
@@ -69,14 +76,25 @@ func (v Verdict) String() string {
 // mode) by exhaustive enumeration. Under cfg.Enum.Reduce it keeps
 // same-address synchronization pairs ordered (PreserveSyncOrder): the
 // happens-before builders order such pairs by completion order even
-// when both only read, so they must not commute.
+// when both only read, so they must not commute. Each execution is
+// decided by a vector-clock pass; the happens-before graph is built only
+// for an execution the pass finds racy, or for every execution under
+// cfg.CheckValues.
 func Check(p *program.Program, mode hb.SyncMode, cfg CheckConfig) (Verdict, error) {
 	cfg.Enum.PreserveSyncOrder = true
 	var v Verdict
 	v.DRF = true
 	seen := make(map[raceKey]bool)
+	det := vclock.NewDetector(p.NumThreads(), mode)
 
 	stats, err := ideal.Enumerate(p, cfg.Enum, func(it *ideal.Interp) error {
+		det.Reset()
+		for _, op := range it.Trace() {
+			det.Observe(op)
+		}
+		if !det.HasRace() && !cfg.CheckValues {
+			return nil
+		}
 		exec := it.Execution()
 		g := hb.BuildAugmented(exec, p.Init, mode)
 		races := hb.RealRaces(g.Races())

@@ -11,16 +11,17 @@ type arena struct {
 	scratch [][]int
 }
 
-// clone copies it exactly like Interp.Clone, reusing storage retired by
-// release when available.
+// clone copies it's state into a retired interpreter, or a new one when
+// none is retired, sharing it's trace (see copyFrom).
 func (ar *arena) clone(it *Interp) *Interp {
-	n := len(ar.interps) - 1
-	if n < 0 {
-		return it.Clone()
+	var out *Interp
+	if n := len(ar.interps) - 1; n >= 0 {
+		out = ar.interps[n]
+		ar.interps[n] = nil
+		ar.interps = ar.interps[:n]
+	} else {
+		out = new(Interp)
 	}
-	out := ar.interps[n]
-	ar.interps[n] = nil
-	ar.interps = ar.interps[:n]
 	out.copyFrom(it)
 	return out
 }

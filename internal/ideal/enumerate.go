@@ -62,6 +62,10 @@ type EnumConfig struct {
 	Observed map[mem.OpID]mem.ReadObservation
 }
 
+// maxTraceHint caps Enumerate's up-front trace capacity; a longer path
+// grows the trace where it overflows, once per node at that depth.
+const maxTraceHint = 256
+
 // ErrBudget reports that enumeration exceeded its execution or path budget.
 var ErrBudget = errors.New("ideal: enumeration budget exceeded")
 
@@ -125,6 +129,9 @@ func Enumerate(p *program.Program, cfg EnumConfig, visit Visitor) (EnumStats, er
 	var stats EnumStats
 	var ar arena
 	root := New(p, cfg.Interp)
+	// Every path extends the root's trace in place (copyFrom): size it
+	// for the longest path the memory-operation budget allows.
+	root.trace = make([]mem.Op, 0, min(p.NumThreads()*cfg.Interp.maxMemOps(), maxTraceHint))
 	var err error
 	if cfg.Reduce && p.NumThreads() <= maxReduceThreads {
 		r := &reducer{cfg: cfg, stats: &stats, visit: visit, memo: make(map[string][]uint64), ar: &ar}

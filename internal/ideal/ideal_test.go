@@ -1,6 +1,9 @@
 package ideal
 
 import (
+	"errors"
+	"maps"
+	"slices"
 	"testing"
 
 	"weakorder/internal/litmus"
@@ -366,5 +369,90 @@ func TestMaxPathsBudget(t *testing.T) {
 	_, err := Enumerate(p, EnumConfig{MaxPaths: 5}, func(it *Interp) error { return nil })
 	if err == nil {
 		t.Fatal("expected ErrBudget from MaxPaths")
+	}
+}
+
+// TestEnumeratedTracesReplay checks the walkers' shared path trace:
+// every execution a walk visits, naive or reduced, must be exactly what
+// replaying its own schedule from scratch produces — the same operations
+// and the same final memory — so no sibling branch has written over it.
+func TestEnumeratedTracesReplay(t *testing.T) {
+	for _, p := range litmus.All() {
+		for _, reduce := range []bool{false, true} {
+			cfg := EnumConfig{Interp: Config{MaxMemOpsPerThread: 6}, SkipTruncated: true, MaxPaths: 20_000, Reduce: reduce}
+			_, err := Enumerate(p, cfg, func(it *Interp) error {
+				got := it.Execution()
+				if !slices.Equal(it.Trace(), got.Ops) {
+					t.Fatalf("%s: Trace and Execution disagree", p.Name)
+				}
+				sched := make([]int, len(got.Ops))
+				for i, op := range got.Ops {
+					sched[i] = op.Proc
+				}
+				want, err := RunSchedule(p, cfg.Interp, sched)
+				if err != nil {
+					return err
+				}
+				if !slices.Equal(want.Execution().Ops, got.Ops) || !maps.Equal(want.Execution().Final, got.Final) {
+					t.Fatalf("%s (reduce=%v): visited execution differs from its replay\n got  %v\n want %v", p.Name, reduce, got, want.Execution())
+				}
+				return nil
+			})
+			if err != nil && !errors.Is(err, ErrBudget) {
+				t.Fatalf("%s: %v", p.Name, err)
+			}
+		}
+	}
+}
+
+// TestStateKeyMemoryEncoding pins the state key's memory section to its
+// definition: the non-zero (address, value) pairs of the final memory
+// map in ascending address order, after the thread contexts.
+func TestStateKeyMemoryEncoding(t *testing.T) {
+	for _, p := range litmus.All() {
+		cfg := EnumConfig{Interp: Config{MaxMemOpsPerThread: 6}, SkipTruncated: true, MaxPaths: 5_000}
+		_, err := Enumerate(p, cfg, func(it *Interp) error {
+			var want []byte
+			for i := range it.threads {
+				ts := &it.threads[i]
+				want = appendVarint(want, int64(ts.pc))
+				want = appendVarint(want, int64(ts.nextIx))
+				want = append(want, 0)
+				if ts.halted {
+					want[len(want)-1] = 1
+				}
+				for _, r := range ts.regs {
+					want = appendVarint(want, int64(r))
+				}
+			}
+			want = append(want, 0xFF)
+			final := it.Execution().Final
+			addrs := make([]mem.Addr, 0, len(final))
+			for a := range final {
+				addrs = append(addrs, a)
+			}
+			slices.Sort(addrs)
+			for _, a := range addrs {
+				if final[a] != 0 {
+					want = appendVarint(want, int64(a))
+					want = appendVarint(want, int64(final[a]))
+				}
+			}
+			if got := it.AppendStateKey(nil); string(got) != string(want) {
+				t.Fatalf("%s: state key %x, want %x", p.Name, got, want)
+			}
+			return nil
+		})
+		if err != nil && !errors.Is(err, ErrBudget) {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+	}
+}
+
+func TestMemValueOutsideProgram(t *testing.T) {
+	p := litmus.Dekker()
+	it := New(p, Config{})
+	if v := it.MemValue(mem.Addr(1 << 20)); v != 0 {
+		t.Errorf("MemValue of an address the program never names = %d, want 0", v)
 	}
 }

@@ -10,6 +10,13 @@
 // Local computation cannot affect other threads, so interleaving at memory
 // granularity preserves the full set of observable behaviors while keeping
 // enumeration tractable.
+//
+// Memory is dense: one slot per address of the program's sorted address
+// table, resolved once per program, so a step indexes a slice and a
+// state key walks the slots in address order. The depth-first walkers
+// share one path trace between a node and its children instead of
+// copying it per step, so a path costs its length, not its length
+// squared.
 package ideal
 
 import (
@@ -65,31 +72,67 @@ type threadState struct {
 	halted bool
 }
 
+// layout maps a program's addresses to dense memory slots. New builds
+// it once and every clone shares it read-only.
+type layout struct {
+	// addrs is program.Addresses: ascending, one address per slot.
+	addrs []mem.Addr
+	// slots[tid][pc] is the slot of thread tid's memory instruction at
+	// pc (unused for local instructions).
+	slots [][]int32
+}
+
+func newLayout(p *program.Program) *layout {
+	lay := &layout{addrs: p.Addresses(), slots: make([][]int32, len(p.Threads))}
+	for tid, t := range p.Threads {
+		lay.slots[tid] = make([]int32, len(t.Instrs))
+		for pc, in := range t.Instrs {
+			if in.Op.IsMemory() {
+				lay.slots[tid][pc] = int32(lay.slot(in.Addr))
+			}
+		}
+	}
+	return lay
+}
+
+// slot returns a's slot, or -1 when the program cannot touch a.
+func (lay *layout) slot(a mem.Addr) int {
+	if s, ok := slices.BinarySearch(lay.addrs, a); ok {
+		return s
+	}
+	return -1
+}
+
 // Interp interprets one program on the idealized architecture. The zero
 // value is not usable; construct with New. Interp values are cheap to
 // Clone, which the enumerator exploits.
 type Interp struct {
 	prog    *program.Program
 	cfg     Config
+	lay     *layout
 	threads []threadState
-	memory  map[mem.Addr]mem.Value
+	// memory holds each slot's value; present marks the slots that were
+	// initialized or written, the addresses Execution reports in Final.
+	memory  []mem.Value
+	present []bool
 	trace   []mem.Op
-
-	// keyAddrs is AppendStateKey's address-sorting scratch; it carries no
-	// state and is deliberately not copied by Clone/copyFrom.
-	keyAddrs []mem.Addr
 }
 
 // New returns an interpreter positioned at the start of p.
 func New(p *program.Program, cfg Config) *Interp {
+	lay := newLayout(p)
 	it := &Interp{
 		prog:    p,
 		cfg:     cfg,
+		lay:     lay,
 		threads: make([]threadState, p.NumThreads()),
-		memory:  make(map[mem.Addr]mem.Value, len(p.Init)),
+		memory:  make([]mem.Value, len(lay.addrs)),
+		present: make([]bool, len(lay.addrs)),
 	}
 	for a, v := range p.Init {
-		it.memory[a] = v
+		s := lay.slot(a)
+		it.memory[s] = v
+		it.present[s] = true
 	}
 	for i := range it.threads {
 		// Eagerly run leading local instructions so that a runnable
@@ -106,39 +149,35 @@ func (it *Interp) Clone() *Interp {
 	out := &Interp{
 		prog:    it.prog,
 		cfg:     it.cfg,
-		threads: make([]threadState, len(it.threads)),
-		memory:  make(map[mem.Addr]mem.Value, len(it.memory)),
+		lay:     it.lay,
+		threads: slices.Clone(it.threads),
+		memory:  slices.Clone(it.memory),
+		present: slices.Clone(it.present),
 		// One spare slot: the clone's next Step appends to the trace.
 		trace: make([]mem.Op, len(it.trace), len(it.trace)+1),
 	}
-	copy(out.threads, it.threads)
 	copy(out.trace, it.trace)
-	for a, v := range it.memory {
-		out.memory[a] = v
-	}
 	return out
 }
 
-// copyFrom overwrites it with src's state, reusing it's existing
-// storage. Equivalent to Clone from the caller's perspective; this is
-// what lets arena.clone recycle retired interpreters.
+// copyFrom overwrites it with src's state, reusing it's storage, and
+// shares src's trace rather than copying it: it's next Step appends in
+// place, over whatever a previous child of src left there. That is what
+// lets arena.clone make a child per step at the cost of the state alone,
+// and it is sound only for depth-first walkers, which never step src
+// while a child lives. A full src grows first, so that all of its
+// children keep sharing one array.
 func (it *Interp) copyFrom(src *Interp) {
 	it.prog = src.prog
 	it.cfg = src.cfg
-	if cap(it.threads) < len(src.threads) {
-		it.threads = make([]threadState, len(src.threads))
+	it.lay = src.lay
+	it.threads = append(it.threads[:0], src.threads...)
+	it.memory = append(it.memory[:0], src.memory...)
+	it.present = append(it.present[:0], src.present...)
+	if len(src.trace) == cap(src.trace) {
+		src.trace = slices.Grow(src.trace, 1)
 	}
-	it.threads = it.threads[:len(src.threads)]
-	copy(it.threads, src.threads)
-	it.trace = append(it.trace[:0], src.trace...)
-	if it.memory == nil {
-		it.memory = make(map[mem.Addr]mem.Value, len(src.memory))
-	} else {
-		clear(it.memory)
-	}
-	for a, v := range src.memory {
-		it.memory[a] = v
-	}
+	it.trace = src.trace
 }
 
 // Program returns the program under interpretation.
@@ -174,10 +213,20 @@ func (it *Interp) Done() bool {
 func (it *Interp) Reg(tid int, r program.Reg) mem.Value { return it.threads[tid].regs[r] }
 
 // MemValue returns the current contents of an address.
-func (it *Interp) MemValue(a mem.Addr) mem.Value { return it.memory[a] }
+func (it *Interp) MemValue(a mem.Addr) mem.Value {
+	if s := it.lay.slot(a); s >= 0 {
+		return it.memory[s]
+	}
+	return 0
+}
 
 // TraceLen returns the number of memory operations executed so far.
 func (it *Interp) TraceLen() int { return len(it.trace) }
+
+// Trace returns the memory operations executed so far, in completion
+// order. The slice is the interpreter's own: read it, do not modify or
+// retain it (Execution snapshots a copy).
+func (it *Interp) Trace() []mem.Op { return it.trace }
 
 // PendingAccess returns the address and kind of the memory operation
 // thread tid will execute on its next Step. known is false when the
@@ -252,7 +301,7 @@ func (it *Interp) Step(tid int) (op mem.Op, ok bool, err error) {
 	if ts.nextIx >= it.cfg.maxMemOps() {
 		return mem.Op{}, false, ErrTruncated
 	}
-	op = it.execMem(tid, ts, in)
+	op = it.execMem(tid, ts, in, it.lay.slots[tid][ts.pc])
 	ts.pc++
 	it.trace = append(it.trace, op)
 	if err := it.advance(tid); err != nil {
@@ -262,8 +311,9 @@ func (it *Interp) Step(tid int) (op mem.Op, ok bool, err error) {
 }
 
 // execMem atomically executes a memory instruction against the idealized
-// memory and returns the resulting dynamic operation.
-func (it *Interp) execMem(tid int, ts *threadState, in program.Instr) mem.Op {
+// memory slot s of its address and returns the resulting dynamic
+// operation.
+func (it *Interp) execMem(tid int, ts *threadState, in program.Instr, s int32) mem.Op {
 	op := mem.Op{
 		Proc:  tid,
 		Index: ts.nextIx,
@@ -274,11 +324,12 @@ func (it *Interp) execMem(tid int, ts *threadState, in program.Instr) mem.Op {
 	}
 	ts.nextIx++
 	if op.Kind.ReadsMemory() {
-		op.Got = it.memory[in.Addr]
+		op.Got = it.memory[s]
 		ts.regs[in.Rd] = op.Got
 	}
 	if op.Kind.WritesMemory() {
-		it.memory[in.Addr] = op.Data
+		it.memory[s] = op.Data
+		it.present[s] = true
 	}
 	return op
 }
@@ -286,16 +337,28 @@ func (it *Interp) execMem(tid int, ts *threadState, in program.Instr) mem.Op {
 // Execution snapshots the trace and memory into a mem.Execution. It may be
 // called at any time; normally it is called once Done reports true.
 func (it *Interp) Execution() *mem.Execution {
-	e := &mem.Execution{
-		Ops:   make([]mem.Op, len(it.trace)),
-		Final: make(map[mem.Addr]mem.Value, len(it.memory)),
+	return &mem.Execution{
+		Ops:   slices.Clone(it.trace),
+		Final: it.finalMemory(),
 		Procs: len(it.threads),
 	}
-	copy(e.Ops, it.trace)
-	for a, v := range it.memory {
-		e.Final[a] = v
+}
+
+// finalMemory maps every initialized or written address to its value.
+func (it *Interp) finalMemory() map[mem.Addr]mem.Value {
+	n := 0
+	for _, p := range it.present {
+		if p {
+			n++
+		}
 	}
-	return e
+	out := make(map[mem.Addr]mem.Value, n)
+	for s, p := range it.present {
+		if p {
+			out[it.lay.addrs[s]] = it.memory[s]
+		}
+	}
+	return out
 }
 
 // EvalCond evaluates a litmus postcondition against the interpreter's
@@ -308,7 +371,7 @@ func (it *Interp) EvalCond(c *program.Cond) bool {
 	for i := range it.threads {
 		regs[i] = it.threads[i].regs
 	}
-	return c.Eval(regs, it.memory)
+	return c.Eval(regs, it.finalMemory())
 }
 
 // AppendStateKey appends a canonical fingerprint of the interpreter's
@@ -318,7 +381,8 @@ func (it *Interp) EvalCond(c *program.Cond) bool {
 // memoizing reachability searches. The encoding is compact binary
 // (varints), not human-readable: the key exists to index a memo map,
 // which a search can probe with string(AppendStateKey(scratch[:0]))
-// without allocating.
+// without allocating. Memory contributes its non-zero (address, value)
+// pairs in ascending address order.
 func (it *Interp) AppendStateKey(buf []byte) []byte {
 	for i := range it.threads {
 		ts := &it.threads[i]
@@ -334,17 +398,11 @@ func (it *Interp) AppendStateKey(buf []byte) []byte {
 		}
 	}
 	buf = append(buf, 0xFF) // section separator
-	addrs := it.keyAddrs[:0]
-	for a := range it.memory {
-		if it.memory[a] != 0 {
-			addrs = append(addrs, a)
+	for s, v := range it.memory {
+		if v != 0 {
+			buf = appendVarint(buf, int64(it.lay.addrs[s]))
+			buf = appendVarint(buf, int64(v))
 		}
-	}
-	slices.Sort(addrs)
-	it.keyAddrs = addrs
-	for _, a := range addrs {
-		buf = appendVarint(buf, int64(a))
-		buf = appendVarint(buf, int64(it.memory[a]))
 	}
 	return buf
 }

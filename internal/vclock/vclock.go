@@ -3,8 +3,10 @@
 // race-detection work the paper cites (Netzer & Miller 1989). It detects
 // the happens-before races of Definition 3 for a single observed
 // execution in time near-linear in the execution length, rather than the
-// quadratic pairwise analysis of package hb — making it the scalable
-// cross-check for long executions.
+// quadratic pairwise analysis of package hb. It is how the DRF0 checker
+// (package drf) decides each enumerated execution: one Detector, Reset
+// between executions, makes one pass per execution, and hb explains
+// only the executions it reports.
 //
 // Clock discipline (djit+-style): each processor carries a vector clock;
 // a synchronization operation on location L first acquires (joins L's
@@ -132,6 +134,19 @@ func NewDetector(n int, mode hb.SyncMode) *Detector {
 	return d
 }
 
+// Reset returns the detector to its initial state so that it can check
+// another execution of the same processor count, reusing its storage.
+func (d *Detector) Reset() {
+	for i, clk := range d.clocks {
+		clear(clk)
+		clk.Tick(i)
+	}
+	for _, ls := range d.locs {
+		ls.reset()
+	}
+	d.races = d.races[:0]
+}
+
 func (d *Detector) loc(a mem.Addr) *locState {
 	ls, ok := d.locs[a]
 	if !ok {
@@ -140,11 +155,23 @@ func (d *Detector) loc(a mem.Addr) *locState {
 			dataReadVC:  NewVC(d.procs),
 			syncWriteVC: NewVC(d.procs),
 			syncReadVC:  NewVC(d.procs),
+			released:    NewVC(d.procs),
 			lastWriter:  -1,
 		}
 		d.locs[a] = ls
 	}
 	return ls
+}
+
+// reset empties a location's history, keeping its clocks' storage.
+func (ls *locState) reset() {
+	clear(ls.dataWriteVC)
+	clear(ls.dataReadVC)
+	clear(ls.syncWriteVC)
+	clear(ls.syncReadVC)
+	clear(ls.released)
+	ls.lastWriter = -1
+	ls.haveRelease = false
 }
 
 // Observe processes the next operation in completion order.
@@ -193,7 +220,7 @@ func (d *Detector) Observe(op mem.Op) {
 			if d.mode == hb.SyncPairedRA && ls.haveRelease {
 				ls.released.Join(clk)
 			} else {
-				ls.released = clk.Clone()
+				copy(ls.released, clk)
 			}
 			ls.haveRelease = true
 			clk.Tick(op.Proc)

@@ -1,6 +1,8 @@
 package vclock
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -201,5 +203,31 @@ func TestDetectorIgnoresBoundaryOps(t *testing.T) {
 	}
 	if d.HasRace() {
 		t.Error("observing boundary ops alone must not create races")
+	}
+}
+
+// TestDetectorResetMatchesFresh: one detector, Reset between
+// executions, reports exactly the races a fresh detector reports on
+// each, in every mode.
+func TestDetectorResetMatchesFresh(t *testing.T) {
+	for _, prog := range litmus.All() {
+		for _, mode := range []hb.SyncMode{hb.SyncAll, hb.SyncWriterOrdered, hb.SyncPairedRA} {
+			d := NewDetector(prog.NumThreads(), mode)
+			cfg := ideal.EnumConfig{Interp: ideal.Config{MaxMemOpsPerThread: 6}, SkipTruncated: true, MaxPaths: 20_000, Reduce: true}
+			_, err := ideal.Enumerate(prog, cfg, func(it *ideal.Interp) error {
+				d.Reset()
+				for _, op := range it.Trace() {
+					d.Observe(op)
+				}
+				want := CheckExecution(it.Execution(), mode)
+				if !reflect.DeepEqual(d.Races(), want) && len(d.Races())+len(want) > 0 {
+					t.Fatalf("%s [%v]: reused detector found %v, fresh found %v", prog.Name, mode, d.Races(), want)
+				}
+				return nil
+			})
+			if err != nil && !errors.Is(err, ideal.ErrBudget) {
+				t.Fatalf("%s: %v", prog.Name, err)
+			}
+		}
 	}
 }
