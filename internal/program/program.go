@@ -11,7 +11,7 @@ package program
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"weakorder/internal/mem"
@@ -356,49 +356,41 @@ func (p *Program) SymbolFor(a mem.Addr) string {
 // every address named by a memory instruction plus every initialized
 // address.
 func (p *Program) Addresses() []mem.Addr {
-	set := make(map[mem.Addr]bool)
+	var out []mem.Addr
 	for _, t := range p.Threads {
 		for _, in := range t.Instrs {
 			if in.Op.IsMemory() {
-				set[in.Addr] = true
+				out = append(out, in.Addr)
 			}
 		}
 	}
 	for a := range p.Init {
-		set[a] = true
+		out = append(out, a)
 	}
 	if p.Cond != nil {
 		for _, term := range p.Cond.Terms {
 			if term.Thread < 0 {
-				set[term.Addr] = true
+				out = append(out, term.Addr)
 			}
 		}
 	}
-	out := make([]mem.Addr, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // SyncAddresses returns the sorted set of addresses accessed by at least
 // one synchronization operation.
 func (p *Program) SyncAddresses() []mem.Addr {
-	set := make(map[mem.Addr]bool)
+	var out []mem.Addr
 	for _, t := range p.Threads {
 		for _, in := range t.Instrs {
 			if in.Op.IsMemory() && in.Op.MemKind().IsSync() {
-				set[in.Addr] = true
+				out = append(out, in.Addr)
 			}
 		}
 	}
-	out := make([]mem.Addr, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Validate checks structural well-formedness: register numbers in range,
@@ -450,7 +442,7 @@ func (p *Program) String() string {
 		for a := range p.Init {
 			addrs = append(addrs, a)
 		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+		slices.Sort(addrs)
 		b.WriteString("init:")
 		for _, a := range addrs {
 			sym := p.SymbolFor(a)
