@@ -3,8 +3,10 @@
 
 GO ?= go
 # Benchmark duration for `make bench`. CI smokes with 1x; use 2s+ on an
-# idle machine for numbers worth comparing.
+# idle machine for numbers worth comparing. BENCHCOUNT samples each
+# benchmark that many times and records the medians, as the CI gate does.
 BENCHTIME ?= 2s
+BENCHCOUNT ?= 5
 
 .PHONY: all build test short vet fmt bench
 
@@ -29,8 +31,8 @@ fmt:
 # the committed before/after artifact, first capture a baseline on the
 # pre-change commit:
 #   git worktree add .bench-base <base-commit>
-#   (cd .bench-base && ../scripts/bench.sh -benchtime $(BENCHTIME) -o /tmp/baseline.json)
+#   (cd .bench-base && ../scripts/bench.sh -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -o /tmp/baseline.json)
 #   git worktree remove --force .bench-base
-#   scripts/bench.sh -benchtime $(BENCHTIME) -baseline /tmp/baseline.json -o BENCH_oracle.json
+#   scripts/bench.sh -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -baseline /tmp/baseline.json -o BENCH_oracle.json
 bench:
-	scripts/bench.sh -benchtime $(BENCHTIME) -o BENCH_oracle.json
+	scripts/bench.sh -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -o BENCH_oracle.json

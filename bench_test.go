@@ -696,6 +696,48 @@ func BenchmarkDRF0CheckGenerated(b *testing.B) {
 	}
 }
 
+// BenchmarkDRF0CheckCandidates classifies, per op, every candidate one
+// shrink sweep offers for a fixed set of generated programs — the DRF0
+// re-checks the campaign makes before a shrink candidate may become a
+// Definition 2 reproducer. The shapes are the campaign catalog's, with
+// a one-item handoff: the catalog's two-item spin handoff offers
+// candidates that each take tens of milliseconds and would be the whole
+// benchmark. The candidates are collected before the timer with a
+// predicate that accepts none; a candidate whose check errors (a
+// dropped instruction can leave a local infinite loop) still counts.
+// Reports checks/op.
+func BenchmarkDRF0CheckCandidates(b *testing.B) {
+	var progs []*program.Program
+	for seed := int64(0); seed < 4; seed++ {
+		progs = append(progs,
+			gen.RaceFree(gen.RaceFreeConfig{
+				Procs: 2, Locks: 1, SharedPerLock: 2, PrivatePerProc: 1,
+				Sections: 1, OpsPerSection: 2, PrivateOps: 1,
+			}, seed),
+			gen.RaceFree(gen.RaceFreeConfig{
+				Procs: 2, Locks: 1, SharedPerLock: 1, PrivatePerProc: 1,
+				Sections: 1, OpsPerSection: 1, PrivateOps: 1, TTAS: true,
+			}, seed),
+			gen.Handoff(gen.HandoffConfig{Stages: 2, Items: 1, Work: 1}, seed),
+			gen.Racy(gen.RacyConfig{Procs: 2, Vars: 3, OpsPerProc: 5, SyncFraction: 4}, seed),
+		)
+	}
+	var cands []*program.Program
+	for _, p := range progs {
+		check.Shrink(p, func(c *program.Program) bool {
+			cands = append(cands, c)
+			return false
+		}, 1<<20)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range cands {
+			_, _ = weakorder.CheckDRF0(c)
+		}
+	}
+	b.ReportMetric(float64(len(cands)), "checks/op")
+}
+
 func BenchmarkParseAndFormat(b *testing.B) {
 	text := weakorder.FormatProgram(litmus.CriticalSection(4, 4))
 	b.SetBytes(int64(len(text)))

@@ -80,29 +80,32 @@ func TestParsePrecedence(t *testing.T) {
 	}
 }
 
+// badModels are sources Parse must reject, each with a substring its
+// error must contain; FuzzParse seeds from them too.
+var badModels = []struct {
+	src  string
+	frag string // substring the error must contain
+}{
+	{"", "no constraints"},
+	{"let x = po", "no constraints"},
+	{"empty nope", "unknown name"},
+	{"let po = rf\nempty po", "shadows a primitive"},
+	{"let x = po\nlet x = rf\nempty x", "duplicate let"},
+	{"empty po ^ rf", "only ^-1"},
+	{"acyclic (po", "expected ')'"},
+	{"empty [W ; po", "expected ']'"},
+	{"empty W ; R", "needs relations"},
+	{"empty po * rf", "needs sets"},
+	{"empty W | po", "mixes"},
+	{"acyclic W", "needs a relation"},
+	{"empty W+", "needs a relation"},
+	{"empty [po]", "needs a set"},
+	{"empty (* unterminated", "unterminated comment"},
+}
+
 // TestParseErrors pins rejection of malformed and ill-typed models.
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		src  string
-		frag string // substring the error must contain
-	}{
-		{"", "no constraints"},
-		{"let x = po", "no constraints"},
-		{"empty nope", "unknown name"},
-		{"let po = rf\nempty po", "shadows a primitive"},
-		{"let x = po\nlet x = rf\nempty x", "duplicate let"},
-		{"empty po ^ rf", "only ^-1"},
-		{"acyclic (po", "expected ')'"},
-		{"empty [W ; po", "expected ']'"},
-		{"empty W ; R", "needs relations"},
-		{"empty po * rf", "needs sets"},
-		{"empty W | po", "mixes"},
-		{"acyclic W", "needs a relation"},
-		{"empty W+", "needs a relation"},
-		{"empty [po]", "needs a set"},
-		{"empty (* unterminated", "unterminated comment"},
-	}
-	for _, c := range cases {
+	for _, c := range badModels {
 		_, err := Parse("t", c.src)
 		if err == nil {
 			t.Errorf("Parse(%q): expected error containing %q, got nil", c.src, c.frag)

@@ -2,7 +2,7 @@
 # bench.sh — run the oracle & kernel benchmark set and emit BENCH_oracle.json.
 #
 # Usage:
-#   scripts/bench.sh [-benchtime 2s] [-o BENCH_oracle.json] [-baseline FILE]
+#   scripts/bench.sh [-benchtime 2s] [-count N] [-o BENCH_oracle.json] [-baseline FILE]
 #
 # The benchmark set covers the hot paths reworked by the POR oracle and
 # simulation-kernel overhaul: the differential campaign, the fault-injection
@@ -12,6 +12,13 @@
 # candidate-execution engine. Output is
 # a JSON document mapping benchmark names to their measured metrics (ns/op
 # plus any benchmark-reported extras such as steps/op or sims/op).
+#
+# With -count N (default 1) every benchmark runs N times and each metric
+# written, iterations included, is the median of its N samples; the
+# document records "count". One sample on a shared host can read a
+# benchmark anywhere from 0.7x to 1.9x of its typical time, so a gate
+# comparing single samples against a 2x bound misses real 2x
+# regressions; the median of five does not.
 #
 # With -baseline FILE, the contents of FILE (a previous run of this script,
 # typically produced on the pre-change commit in a worktree) are embedded
@@ -24,17 +31,19 @@
 set -eu
 
 BENCHTIME=1x
+COUNT=1
 OUT=BENCH_oracle.json
 BASELINE=
-BENCHSET='BenchmarkCheckCampaign|BenchmarkFaultMatrix$|BenchmarkMachineReuse|BenchmarkMachineStep|BenchmarkIdealEnumerateDekker|BenchmarkIdealEnumeratePOR|BenchmarkSCMatchOracle|BenchmarkSatFastPath|BenchmarkResultKey$|BenchmarkDRF0CheckGenerated|BenchmarkAxiomSC'
+BENCHSET='BenchmarkCheckCampaign|BenchmarkFaultMatrix$|BenchmarkMachineReuse|BenchmarkMachineStep|BenchmarkIdealEnumerateDekker|BenchmarkIdealEnumeratePOR|BenchmarkSCMatchOracle|BenchmarkSatFastPath|BenchmarkResultKey$|BenchmarkDRF0CheckGenerated|BenchmarkDRF0CheckCandidates|BenchmarkAxiomSC'
 
 while [ $# -gt 0 ]; do
     case "$1" in
     -benchtime) BENCHTIME=$2; shift 2 ;;
+    -count) COUNT=$2; shift 2 ;;
     -o) OUT=$2; shift 2 ;;
     -baseline) BASELINE=$2; shift 2 ;;
     -benchset) BENCHSET=$2; shift 2 ;;
-    *) echo "usage: $0 [-benchtime T] [-o FILE] [-baseline FILE] [-benchset REGEX]" >&2; exit 2 ;;
+    *) echo "usage: $0 [-benchtime T] [-count N] [-o FILE] [-baseline FILE] [-benchset REGEX]" >&2; exit 2 ;;
     esac
 done
 
@@ -44,30 +53,64 @@ trap 'rm -f "$RAW"' EXIT
 # -benchmem adds B/op and allocs/op; the parser below records every
 # reported metric pair, so allocation figures land in the JSON schema
 # alongside ns/op without special-casing.
-go test -run '^$' -bench "$BENCHSET" -benchtime "$BENCHTIME" -benchmem -count 1 . | tee "$RAW" >&2
+go test -run '^$' -bench "$BENCHSET" -benchtime "$BENCHTIME" -benchmem -count "$COUNT" . | tee "$RAW" >&2
 
 COMMIT=$(git describe --always --dirty 2>/dev/null || echo unknown)
 
-awk -v benchtime="$BENCHTIME" -v commit="$COMMIT" -v baseline="$BASELINE" '
+awk -v benchtime="$BENCHTIME" -v count="$COUNT" -v commit="$COMMIT" -v baseline="$BASELINE" '
 function jesc(s) { gsub(/\\/, "\\\\", s); gsub(/"/, "\\\"", s); return s }
+# median returns the median of metric m over the samples of benchmark b:
+# the middle sample as printed, or the mean of the middle two.
+function median(b, m,    n, i, j, t, v) {
+    n = 0
+    for (i = 1; i <= samples[b]; i++) {
+        if ((b, m, i) in val) {
+            v[++n] = val[b, m, i]
+        }
+    }
+    for (i = 2; i <= n; i++) {
+        t = v[i]
+        for (j = i - 1; j >= 1 && v[j] + 0 > t + 0; j--) v[j + 1] = v[j]
+        v[j + 1] = t
+    }
+    if (n % 2) return v[(n + 1) / 2]
+    return sprintf("%.10g", (v[n / 2] + v[n / 2 + 1]) / 2)
+}
 /^goos:/   { goos = $2 }
 /^goarch:/ { goarch = $2 }
 /^cpu:/    { sub(/^cpu: */, ""); cpu = $0 }
 /^Benchmark/ {
-    name = $1; iters = $2
-    metrics = ""
-    for (i = 3; i + 1 <= NF; i += 2) {
-        if (metrics != "") metrics = metrics ", "
-        metrics = metrics "\"" jesc($(i + 1)) "\": " $i
+    name = $1
+    if (!(name in samples)) {
+        order[++nbench] = name
+        units[name, ++nunits[name]] = "iterations"
     }
-    if (results != "") results = results ",\n"
-    results = results sprintf("    \"%s\": {\"iterations\": %s, %s}", jesc(name), iters, metrics)
+    k = ++samples[name]
+    val[name, "iterations", k] = $2
+    for (i = 3; i + 1 <= NF; i += 2) {
+        if (!((name, $(i + 1)) in seen)) {
+            seen[name, $(i + 1)] = 1
+            units[name, ++nunits[name]] = $(i + 1)
+        }
+        val[name, $(i + 1), k] = $i
+    }
 }
 END {
+    for (b = 1; b <= nbench; b++) {
+        name = order[b]
+        metrics = ""
+        for (u = 1; u <= nunits[name]; u++) {
+            if (metrics != "") metrics = metrics ", "
+            metrics = metrics "\"" jesc(units[name, u]) "\": " median(name, units[name, u])
+        }
+        if (results != "") results = results ",\n"
+        results = results sprintf("    \"%s\": {%s}", jesc(name), metrics)
+    }
     printf "{\n"
     printf "  \"schema\": \"wofuzz-bench/1\",\n"
     printf "  \"commit\": \"%s\",\n", jesc(commit)
     printf "  \"benchtime\": \"%s\",\n", jesc(benchtime)
+    printf "  \"count\": %d,\n", count
     printf "  \"goos\": \"%s\",\n", jesc(goos)
     printf "  \"goarch\": \"%s\",\n", jesc(goarch)
     printf "  \"cpu\": \"%s\",\n", jesc(cpu)
