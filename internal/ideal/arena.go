@@ -9,6 +9,7 @@ package ideal
 type arena struct {
 	interps []*Interp
 	scratch [][]int
+	logs    [][][]byte
 }
 
 // clone copies it's state into a retired interpreter, or a new one when
@@ -52,4 +53,23 @@ func (ar *arena) releaseInts(s []int) {
 	if cap(s) > 0 {
 		ar.scratch = append(ar.scratch, s)
 	}
+}
+
+// readLogs returns a copy of the reducer's per-thread read logs,
+// reusing header storage retired by releaseReadLogs. The logs' bytes
+// are shared like the trace: a child appends its read in place, past
+// the end of its parent's log, where only a finished sibling wrote.
+func (ar *arena) readLogs(reads [][]byte) [][]byte {
+	var out [][]byte
+	if n := len(ar.logs) - 1; n >= 0 {
+		out = ar.logs[n][:0]
+		ar.logs[n] = nil
+		ar.logs = ar.logs[:n]
+	}
+	return append(out, reads...)
+}
+
+// releaseReadLogs retires headers obtained from readLogs.
+func (ar *arena) releaseReadLogs(l [][]byte) {
+	ar.logs = append(ar.logs, l)
 }

@@ -134,8 +134,14 @@ func Enumerate(p *program.Program, cfg EnumConfig, visit Visitor) (EnumStats, er
 	root.trace = make([]mem.Op, 0, min(p.NumThreads()*cfg.Interp.maxMemOps(), maxTraceHint))
 	var err error
 	if cfg.Reduce && p.NumThreads() <= maxReduceThreads {
-		r := &reducer{cfg: cfg, stats: &stats, visit: visit, memo: make(map[string][]uint64), ar: &ar}
-		err = r.explore(root, 0, make([][]byte, p.NumThreads()))
+		r := &reducer{cfg: cfg, stats: &stats, visit: visit, memo: newMemo(), ar: &ar}
+		// The read logs are extended in place like the trace (readLogs);
+		// a read's varint takes one or two bytes for small values.
+		reads := make([][]byte, p.NumThreads())
+		for t := range reads {
+			reads[t] = make([]byte, 0, 2*min(cfg.Interp.maxMemOps(), maxTraceHint))
+		}
+		err = r.explore(root, 0, reads)
 	} else {
 		err = enumerate(root, cfg, &stats, &ar, visit)
 	}

@@ -48,7 +48,7 @@ type reducer struct {
 	visit Visitor
 	// memo maps state+reads keys to the sleep sets under which the
 	// state was already fully explored.
-	memo map[string][]uint64
+	memo *memo
 	// ar recycles per-step interpreter clones and runnable scratch;
 	// keyBuf is memoKey's build buffer (safe to share across levels
 	// because the memo is read and written before any recursion).
@@ -73,18 +73,14 @@ func (r *reducer) explore(it *Interp, sleep uint64, reads [][]byte) error {
 		}
 		return r.visit(it)
 	}
-	key := r.memoKey(it, reads)
-	visits := r.memo[string(key)]
-	for _, m := range visits {
-		if m&^sleep == 0 {
-			r.stats.MemoHits++
-			return nil
-		}
+	// covered marks the state on entry: the interleaving graph is
+	// acyclic (every step lengthens the trace), so a state can never
+	// re-reach itself and a revisit only happens after this call
+	// completes.
+	if r.memo.covered(r.memoKey(it, reads), sleep) {
+		r.stats.MemoHits++
+		return nil
 	}
-	// Mark on entry: the interleaving graph is acyclic (every step
-	// lengthens the trace), so a state can never re-reach itself and a
-	// revisit only happens after this call completes.
-	r.memo[string(key)] = append(visits, sleep)
 	run := it.RunnableInto(r.ar.ints())
 	for _, tid := range run {
 		bit := uint64(1) << uint(tid)
@@ -120,15 +116,16 @@ func (r *reducer) explore(it *Interp, sleep uint64, reads [][]byte) error {
 			return err
 		}
 		childSleep := sleep
-		childReads := reads
+		childReads := r.ar.readLogs(reads)
 		if ok {
 			childSleep = r.filterSleep(it, sleep, op)
 			if op.HasReadComponent() && r.cfg.Observed == nil {
-				childReads = appendRead(reads, tid, op.Got)
+				childReads[tid] = appendVarint(childReads[tid], int64(op.Got))
 			}
 		}
 		err = r.explore(child, childSleep, childReads)
 		r.ar.release(child)
+		r.ar.releaseReadLogs(childReads)
 		if err != nil {
 			return err
 		}
@@ -173,9 +170,8 @@ func dependent(addr mem.Addr, kind mem.Kind, op mem.Op, syncOrder bool) bool {
 
 // memoKey fingerprints the interpreter state plus the read-value
 // history that determines the eventual mem.Result. The returned slice
-// aliases r.keyBuf and is valid only until the next memoKey call; map
-// lookups via string(key) do not allocate, and the store's string
-// conversion copies.
+// aliases r.keyBuf and is valid only until the next memoKey call; the
+// memo copies what it keeps.
 func (r *reducer) memoKey(it *Interp, reads [][]byte) []byte {
 	key := it.AppendStateKey(r.keyBuf[:0])
 	for _, log := range reads {
@@ -184,15 +180,4 @@ func (r *reducer) memoKey(it *Interp, reads [][]byte) []byte {
 	}
 	r.keyBuf = key
 	return key
-}
-
-// appendRead extends thread tid's read log with value v, copying so
-// sibling branches do not share backing arrays.
-func appendRead(reads [][]byte, tid int, v mem.Value) [][]byte {
-	out := make([][]byte, len(reads))
-	copy(out, reads)
-	log := make([]byte, len(out[tid]), len(out[tid])+2)
-	copy(log, out[tid])
-	out[tid] = appendVarint(log, int64(v))
-	return out
 }
