@@ -45,7 +45,7 @@ func TestSingleThreadSequential(t *testing.T) {
 	if got := it.Reg(0, program.R1); got != 5 {
 		t.Fatalf("r1 = %d, want 5", got)
 	}
-	if got := it.TraceLen(); got != 3 {
+	if got := len(it.Trace()); got != 3 {
 		t.Fatalf("trace length = %d, want 3", got)
 	}
 }
@@ -295,7 +295,7 @@ func TestCloneIndependence(t *testing.T) {
 	if _, _, err := a.Step(0); err != nil {
 		t.Fatal(err)
 	}
-	if bI.TraceLen() != 0 {
+	if len(bI.Trace()) != 0 {
 		t.Error("stepping the original must not affect the clone")
 	}
 	if string(a.AppendStateKey(nil)) == string(bI.AppendStateKey(nil)) {

@@ -220,9 +220,6 @@ func (it *Interp) MemValue(a mem.Addr) mem.Value {
 	return 0
 }
 
-// TraceLen returns the number of memory operations executed so far.
-func (it *Interp) TraceLen() int { return len(it.trace) }
-
 // Trace returns the memory operations executed so far, in completion
 // order. The slice is the interpreter's own: read it, do not modify or
 // retain it (Execution snapshots a copy).
@@ -346,13 +343,7 @@ func (it *Interp) Execution() *mem.Execution {
 
 // finalMemory maps every initialized or written address to its value.
 func (it *Interp) finalMemory() map[mem.Addr]mem.Value {
-	n := 0
-	for _, p := range it.present {
-		if p {
-			n++
-		}
-	}
-	out := make(map[mem.Addr]mem.Value, n)
+	out := make(map[mem.Addr]mem.Value, len(it.present))
 	for s, p := range it.present {
 		if p {
 			out[it.lay.addrs[s]] = it.memory[s]
