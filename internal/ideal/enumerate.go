@@ -130,16 +130,19 @@ func Enumerate(p *program.Program, cfg EnumConfig, visit Visitor) (EnumStats, er
 	var ar arena
 	root := New(p, cfg.Interp)
 	// Every path extends the root's trace in place (copyFrom): size it
-	// for the longest path the memory-operation budget allows.
-	root.trace = make([]mem.Op, 0, min(p.NumThreads()*cfg.Interp.maxMemOps(), maxTraceHint))
+	// for the longest path.
+	root.trace = make([]mem.Op, 0, min(pathBound(p, cfg.Interp.maxMemOps()), maxTraceHint))
 	var err error
 	if cfg.Reduce && p.NumThreads() <= maxReduceThreads {
 		r := &reducer{cfg: cfg, stats: &stats, visit: visit, memo: newMemo(), ar: &ar}
 		// The read logs are extended in place like the trace (readLogs);
-		// a read's varint takes one or two bytes for small values.
+		// a read's varint takes one or two bytes for small values. Under
+		// Observed the key leaves them out.
 		reads := make([][]byte, p.NumThreads())
 		for t := range reads {
-			reads[t] = make([]byte, 0, 2*min(cfg.Interp.maxMemOps(), maxTraceHint))
+			if cfg.Observed == nil {
+				reads[t] = make([]byte, 0, 2*min(cfg.Interp.maxMemOps(), maxTraceHint))
+			}
 		}
 		err = r.explore(root, 0, reads)
 	} else {
@@ -149,6 +152,27 @@ func Enumerate(p *program.Program, cfg EnumConfig, visit Visitor) (EnumStats, er
 		return stats, nil
 	}
 	return stats, err
+}
+
+// pathBound bounds the memory operations one path of p executes: a
+// thread without a backward branch runs each of its memory instructions
+// at most once, and no thread runs more than maxMemOps.
+func pathBound(p *program.Program, maxMemOps int) int {
+	n := 0
+	for _, t := range p.Threads {
+		ops, loops := 0, false
+		for pc, in := range t.Instrs {
+			if in.Op.IsMemory() {
+				ops++
+			}
+			loops = loops || in.Op.IsBranch() && in.Target <= pc
+		}
+		if loops || ops > maxMemOps {
+			ops = maxMemOps
+		}
+		n += ops
+	}
+	return n
 }
 
 func enumerate(it *Interp, cfg EnumConfig, stats *EnumStats, ar *arena, visit Visitor) error {

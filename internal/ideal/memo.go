@@ -31,8 +31,8 @@ type memoEntry struct {
 }
 
 const (
-	memoSlots    = 64      // initial table size, a power of two
-	memoChunkMin = 1 << 10 // first key chunk; each new one doubles
+	memoSlots    = 16     // initial table size, a power of two
+	memoChunkMin = 1 << 8 // first key chunk; each new one doubles
 	memoChunkMax = 1 << 16
 )
 

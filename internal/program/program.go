@@ -356,7 +356,14 @@ func (p *Program) SymbolFor(a mem.Addr) string {
 // every address named by a memory instruction plus every initialized
 // address.
 func (p *Program) Addresses() []mem.Addr {
-	var out []mem.Addr
+	n := len(p.Init)
+	for _, t := range p.Threads {
+		n += len(t.Instrs)
+	}
+	if p.Cond != nil {
+		n += len(p.Cond.Terms)
+	}
+	out := make([]mem.Addr, 0, n)
 	for _, t := range p.Threads {
 		for _, in := range t.Instrs {
 			if in.Op.IsMemory() {
