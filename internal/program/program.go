@@ -12,6 +12,7 @@ package program
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"strings"
 
 	"weakorder/internal/mem"
@@ -388,16 +389,20 @@ func (p *Program) Addresses() []mem.Addr {
 // SyncAddresses returns the sorted set of addresses accessed by at least
 // one synchronization operation.
 func (p *Program) SyncAddresses() []mem.Addr {
-	var out []mem.Addr
+	set := make(map[mem.Addr]bool)
 	for _, t := range p.Threads {
 		for _, in := range t.Instrs {
 			if in.Op.IsMemory() && in.Op.MemKind().IsSync() {
-				out = append(out, in.Addr)
+				set[in.Addr] = true
 			}
 		}
 	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	out := make([]mem.Addr, 0, len(set))
+	for a := range set {
+		out = append(out, a)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
 // Validate checks structural well-formedness: register numbers in range,
@@ -449,7 +454,7 @@ func (p *Program) String() string {
 		for a := range p.Init {
 			addrs = append(addrs, a)
 		}
-		slices.Sort(addrs)
+		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 		b.WriteString("init:")
 		for _, a := range addrs {
 			sym := p.SymbolFor(a)
