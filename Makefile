@@ -3,10 +3,8 @@
 
 GO ?= go
 # Benchmark duration for `make bench`. CI smokes with 1x; use 2s+ on an
-# idle machine for numbers worth comparing. BENCHCOUNT samples each
-# benchmark that many times and records the medians, as the CI gate does.
+# idle machine for numbers worth comparing.
 BENCHTIME ?= 2s
-BENCHCOUNT ?= 5
 
 .PHONY: all build test short vet fmt bench
 
@@ -27,12 +25,13 @@ vet:
 fmt:
 	gofmt -l -w .
 
-# bench regenerates BENCH_oracle.json for the current tree. To refresh
+# bench regenerates BENCH_oracle.json for the current tree at
+# GOMAXPROCS=2, the value the CI bench gate pins. To refresh
 # the committed before/after artifact, first capture a baseline on the
 # pre-change commit:
 #   git worktree add .bench-base <base-commit>
-#   (cd .bench-base && ../scripts/bench.sh -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -o /tmp/baseline.json)
+#   (cd .bench-base && GOMAXPROCS=2 ../scripts/bench.sh -benchtime $(BENCHTIME) -count 5 -o /tmp/baseline.json)
 #   git worktree remove --force .bench-base
-#   scripts/bench.sh -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -baseline /tmp/baseline.json -o BENCH_oracle.json
+#   GOMAXPROCS=2 scripts/bench.sh -benchtime $(BENCHTIME) -count 5 -baseline /tmp/baseline.json -o BENCH_oracle.json
 bench:
-	scripts/bench.sh -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -o BENCH_oracle.json
+	GOMAXPROCS=2 scripts/bench.sh -benchtime $(BENCHTIME) -count 5 -o BENCH_oracle.json
