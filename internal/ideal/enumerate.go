@@ -130,11 +130,14 @@ func Enumerate(p *program.Program, cfg EnumConfig, visit Visitor) (EnumStats, er
 	var ar arena
 	root := New(p, cfg.Interp)
 	// Every path extends the root's trace in place (copyFrom): size it
-	// for the longest path.
-	root.trace = make([]mem.Op, 0, min(pathBound(p, cfg.Interp.maxMemOps()), maxTraceHint))
+	// for the longest path, plus one slot for the step that finds a
+	// thread's budget spent. That step appends nothing, but a trace
+	// full before it would make copyFrom grow the trace for it.
+	root.trace = make([]mem.Op, 0, min(pathBound(p, cfg.Interp.maxMemOps())+1, maxTraceHint))
 	var err error
 	if cfg.Reduce && p.NumThreads() <= maxReduceThreads {
-		r := &reducer{cfg: cfg, stats: &stats, visit: visit, memo: newMemo(), ar: &ar}
+		r := &reducer{cfg: cfg, stats: &stats, visit: visit, memo: getMemo(), ar: &ar}
+		defer putMemo(r.memo)
 		// The read logs are extended in place like the trace (readLogs);
 		// a read's varint takes one or two bytes for small values. Under
 		// Observed the key leaves them out.

@@ -2,6 +2,7 @@ package ideal
 
 import (
 	"errors"
+	"fmt"
 	"maps"
 	"slices"
 	"testing"
@@ -454,5 +455,43 @@ func TestMemValueOutsideProgram(t *testing.T) {
 	it := New(p, Config{})
 	if v := it.MemValue(mem.Addr(1 << 20)); v != 0 {
 		t.Errorf("MemValue of an address the program never names = %d, want 0", v)
+	}
+}
+
+// TestMemoReuse: a reset memo forgets every key and sleep set of the
+// walk before, and keys stored after the reset, into reused chunks and
+// new ones (including keys longer than a chunk), still match only their
+// exact bytes.
+func TestMemoReuse(t *testing.T) {
+	key := func(i int) []byte {
+		pad := i % 9 * 40
+		if i%997 == 0 {
+			pad = memoChunkMax
+		}
+		return append([]byte(fmt.Sprint(i, ":")), make([]byte, pad)...)
+	}
+	m := getMemo()
+	defer putMemo(m)
+	for _, n := range []int{3000, 200, 6000, 3000} {
+		m.reset()
+		for i := n - 1; i >= 0; i-- {
+			if m.covered(key(i), 1) {
+				t.Fatalf("after reset, key %d of %d reported explored", i, n)
+			}
+		}
+		for i := range n {
+			if !m.covered(key(i), 3) {
+				t.Fatalf("key %d of %d: explored under {0} but not covered under {0,1}", i, n)
+			}
+			if m.covered(key(i), 2) {
+				t.Fatalf("key %d of %d: explored under {0} but covered under {1}", i, n)
+			}
+			if !m.covered(key(i), 2) {
+				t.Fatalf("key %d of %d: second visit under {1} not recorded", i, n)
+			}
+		}
+		if m.covered(key(n), 3) {
+			t.Fatalf("key %d never stored but reported explored", n)
+		}
 	}
 }

@@ -16,7 +16,8 @@
 // state key walks the slots in address order. The depth-first walkers
 // share one path trace between a node and its children instead of
 // copying it per step, so a path costs its length, not its length
-// squared.
+// squared, and the reducer's memo storage is recycled from one
+// enumeration to the next.
 package ideal
 
 import (
