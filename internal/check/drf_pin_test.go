@@ -2,6 +2,8 @@ package check
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"runtime"
@@ -14,8 +16,12 @@ import (
 	"weakorder/internal/hb"
 	"weakorder/internal/ideal"
 	"weakorder/internal/litmus"
+	"weakorder/internal/machine"
+	"weakorder/internal/policy"
 	"weakorder/internal/program"
+	"weakorder/internal/scmatch"
 	"weakorder/internal/vclock"
+	"weakorder/internal/workload"
 )
 
 // drfFamilies returns the programs the DRF0 pins run over, in a fixed
@@ -165,4 +171,71 @@ func TestDRFDetectorAgreesWithAugmentedHB(t *testing.T) {
 	})
 	t.Logf("%d executions compared; racy under %v/%v/%v: %d/%d/%d", execs.Load(),
 		modes[0], modes[1], modes[2], racy[0].Load(), racy[1].Load(), racy[2].Load())
+}
+
+// TestNaiveWalkDigest pins ideal.Enumerate with reduction off, the walk
+// that EnumerateSC, postcondition checks and programs wider than the
+// sleep-set mask take. For each program of drfFamilies it walks two
+// configurations, one that skips truncated paths and one that fails on
+// the first, and digests every EnumStats field, the error, and each
+// visited execution's (Proc, Index, Got) sequence in visit order. It
+// also pins OK and States of the one appears-SC query past the
+// sleep-set mask: Figure 3 scaled to 72 threads under WO-Def2 on the
+// mesh. A change to how the walk is structured must leave the digest
+// alone; moving it means an execution, its order, a budget or a count
+// changed.
+func TestNaiveWalkDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size pin; skipped in -short")
+	}
+	const want = "20db98b636000fb6542c21879f05b44323c1a54192cf52ffe6d40a933962197d"
+	cfgs := []ideal.EnumConfig{
+		{Interp: ideal.Config{MaxMemOpsPerThread: 16}, SkipTruncated: true, MaxPaths: 20_000},
+		{Interp: ideal.Config{MaxMemOpsPerThread: 6}, MaxPaths: 20_000},
+	}
+	progs := drfFamilies(t, 20, 4)
+	sums := make([][]byte, len(progs))
+	var execs, truncErrs atomic.Int64
+	inParallel(len(progs), func(i int) {
+		p := progs[i]
+		h := sha256.New()
+		var buf []byte
+		for c, cfg := range cfgs {
+			fmt.Fprintf(h, "%d %s cfg%d\n", i, p.Name, c)
+			stats, err := ideal.Enumerate(p, cfg, func(it *ideal.Interp) error {
+				buf = buf[:0]
+				for _, op := range it.Trace() {
+					buf = binary.AppendVarint(buf, int64(op.Proc))
+					buf = binary.AppendVarint(buf, int64(op.Index))
+					buf = binary.AppendVarint(buf, int64(op.Got))
+				}
+				buf = append(buf, '\n')
+				h.Write(buf)
+				return nil
+			})
+			fmt.Fprintf(h, "execs=%d trunc=%d steps=%d slept=%d memo=%d err=%v\n",
+				stats.Executions, stats.Truncated, stats.Steps, stats.SleepPruned, stats.MemoHits, err)
+			execs.Add(int64(stats.Executions))
+			if errors.Is(err, ideal.ErrTruncated) {
+				truncErrs.Add(1)
+			}
+		}
+		sums[i] = h.Sum(nil)
+	})
+	h := sha256.New()
+	for _, s := range sums {
+		h.Write(s)
+	}
+	p := workload.Fig3Scaled(72)
+	res, err := machine.Run(p, machine.Config{Policy: policy.WODef2, Topology: machine.TopoMesh, Caches: true}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := scmatch.Matches(p, res.Result, scmatch.Config{})
+	fmt.Fprintf(h, "fig3x72 ok=%v states=%d err=%v\n", m.OK, m.States, err)
+	t.Logf("%d programs, %d executions visited, %d walks ended in ErrTruncated; %d-thread query: ok=%v, %d states",
+		len(progs), execs.Load(), truncErrs.Load(), p.NumThreads(), m.OK, m.States)
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("naive walk digest drifted:\n got  %s\n want %s", got, want)
+	}
 }
