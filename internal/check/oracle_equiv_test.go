@@ -55,21 +55,39 @@ func enumOutcomes(t *testing.T, p *program.Program, cfg ideal.EnumConfig) (out m
 }
 
 // matchVerdict runs the result-directed search; budget-exceeded is its
-// own verdict value (the campaign records it as a budget skip).
-func matchVerdict(t *testing.T, p *program.Program, r mem.Result, noReduce bool) (ok, budget bool) {
+// own verdict value (the campaign records it as a budget skip). The
+// naive side is scmatch.Matches's search with reduction off: every
+// interleaving consistent with r's reads, stopped at the first whose
+// result equals r.
+func matchVerdict(t *testing.T, p *program.Program, r mem.Result, naive bool) (ok, budget bool) {
 	t.Helper()
-	m, err := scmatch.Matches(p, r, scmatch.Config{
-		Interp:    ideal.Config{MaxMemOpsPerThread: oracleMemOpsPerThread},
-		MaxStates: oracleMatchMaxStates,
-		NoReduce:  noReduce,
-	})
-	if errors.Is(err, scmatch.ErrBudget) {
+	interp := ideal.Config{MaxMemOpsPerThread: oracleMemOpsPerThread}
+	var err error
+	if naive {
+		_, err = ideal.Enumerate(p, ideal.EnumConfig{
+			Interp:        interp,
+			MaxPaths:      oracleMatchMaxStates,
+			SkipTruncated: true,
+			Observed:      r.Reads,
+		}, func(it *ideal.Interp) error {
+			if !mem.ResultOf(it.Execution()).Equal(r) {
+				return nil
+			}
+			ok = true
+			return ideal.ErrStop
+		})
+	} else {
+		var m scmatch.Match
+		m, err = scmatch.Matches(p, r, scmatch.Config{Interp: interp, MaxStates: oracleMatchMaxStates})
+		ok = m.OK
+	}
+	if errors.Is(err, scmatch.ErrBudget) || errors.Is(err, ideal.ErrBudget) {
 		return false, true
 	}
 	if err != nil {
 		t.Fatalf("%s: scmatch: %v", p.Name, err)
 	}
-	return m.OK, false
+	return ok, false
 }
 
 // corrupt returns a copy of r with one read observation perturbed, so

@@ -41,11 +41,6 @@ type CheckConfig struct {
 	// AllRaces collects races from every racy execution instead of
 	// stopping at the first racy execution found.
 	AllRaces bool
-	// CheckValues additionally verifies the Lemma 1 value condition
-	// (reads see the hb-last write) on every race-free execution,
-	// failing the check with an error if it is violated. This is a
-	// self-test of the idealized interpreter.
-	CheckValues bool
 }
 
 // Verdict is the outcome of a DRF0 check.
@@ -78,8 +73,7 @@ func (v Verdict) String() string {
 // happens-before builders order such pairs by completion order even
 // when both only read, so they must not commute. Each execution is
 // decided by a vector-clock pass; the happens-before graph is built only
-// for an execution the pass finds racy, or for every execution under
-// cfg.CheckValues.
+// for an execution the pass finds racy.
 func Check(p *program.Program, mode hb.SyncMode, cfg CheckConfig) (Verdict, error) {
 	cfg.Enum.PreserveSyncOrder = true
 	var v Verdict
@@ -92,33 +86,27 @@ func Check(p *program.Program, mode hb.SyncMode, cfg CheckConfig) (Verdict, erro
 		for _, op := range it.Trace() {
 			det.Observe(op)
 		}
-		if !det.HasRace() && !cfg.CheckValues {
+		if !det.HasRace() {
 			return nil
 		}
-		exec := it.Execution()
-		g := hb.BuildAugmented(exec, p.Init, mode)
+		g := hb.BuildAugmented(it.Execution(), p.Init, mode)
 		races := hb.RealRaces(g.Races())
-		if len(races) > 0 {
-			if v.DRF {
-				v.DRF = false
-				v.Witness = g.Execution()
-			}
-			for _, r := range races {
-				k := keyOf(r)
-				if !seen[k] {
-					seen[k] = true
-					v.Races = append(v.Races, r)
-				}
-			}
-			if !cfg.AllRaces {
-				return ideal.ErrStop
-			}
+		if len(races) == 0 {
 			return nil
 		}
-		if cfg.CheckValues {
-			if err := g.CheckReadsSeeLastWrite(p.Init); err != nil {
-				return fmt.Errorf("drf: value condition violated on race-free execution: %w", err)
+		if v.DRF {
+			v.DRF = false
+			v.Witness = g.Execution()
+		}
+		for _, r := range races {
+			k := keyOf(r)
+			if !seen[k] {
+				seen[k] = true
+				v.Races = append(v.Races, r)
 			}
+		}
+		if !cfg.AllRaces {
+			return ideal.ErrStop
 		}
 		return nil
 	})

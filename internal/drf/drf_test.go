@@ -32,7 +32,7 @@ func TestDekkerIsNotDRF0(t *testing.T) {
 }
 
 func TestDekkerSyncIsDRF0(t *testing.T) {
-	v, err := Check(litmus.DekkerSync(), hb.SyncAll, CheckConfig{CheckValues: true})
+	v, err := Check(litmus.DekkerSync(), hb.SyncAll, CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,12 +45,29 @@ func TestDekkerSyncIsDRF0(t *testing.T) {
 }
 
 func TestMessagePassingBoundedIsDRF0(t *testing.T) {
-	v, err := Check(litmus.MessagePassingBounded(), hb.SyncAll, CheckConfig{CheckValues: true})
+	v, err := Check(litmus.MessagePassingBounded(), hb.SyncAll, CheckConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !v.DRF {
 		t.Fatalf("synchronized message passing must obey DRF0; races: %v", v.Races)
+	}
+}
+
+// TestRaceFreeReadsSeeLastWrite checks the idealized interpreter against
+// Lemma 1's value condition: on every execution of a DRF0 program, each
+// read returns the value of the hb-last write to its address.
+func TestRaceFreeReadsSeeLastWrite(t *testing.T) {
+	for _, p := range []*program.Program{litmus.DekkerSync(), litmus.MessagePassingBounded()} {
+		stats, err := ideal.Enumerate(p, ideal.EnumConfig{}, func(it *ideal.Interp) error {
+			return hb.BuildAugmented(it.Execution(), p.Init, hb.SyncAll).CheckReadsSeeLastWrite(p.Init)
+		})
+		if err != nil {
+			t.Errorf("%s: %v", p.Name, err)
+		}
+		if stats.Executions == 0 {
+			t.Errorf("%s: no executions enumerated", p.Name)
+		}
 	}
 }
 

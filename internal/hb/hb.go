@@ -250,19 +250,6 @@ func (g *Graph) Races() []Race {
 	return out
 }
 
-// HasRace reports whether any conflicting pair is unordered, stopping at
-// the first.
-func (g *Graph) HasRace() bool {
-	for i := 0; i < len(g.exec.Ops); i++ {
-		for j := i + 1; j < len(g.exec.Ops); j++ {
-			if g.racy(i, j) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // CheckReadsSeeLastWrite verifies the Lemma 1 value condition on a
 // race-free execution: every operation with a read component returns the
 // value of the hb-latest write component ordered before it (for an RMW,

@@ -342,7 +342,6 @@ func TestHBIsStrictPartialOrderOnEnumeratedExecutions(t *testing.T) {
 	for _, prog := range litmus.All() {
 		cfg := ideal.EnumConfig{
 			Interp:        ideal.Config{MaxMemOpsPerThread: 10},
-			MaxExecutions: 0,
 			MaxPaths:      200_000,
 			SkipTruncated: true,
 		}

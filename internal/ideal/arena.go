@@ -1,8 +1,8 @@
 package ideal
 
 // arena recycles interpreter clones and scratch slices within one
-// enumeration. The interleaving walkers clone the interpreter once per
-// step and retire the clone as soon as its subtree is finished; routing
+// enumeration. The interleaving walk clones the interpreter once per
+// step and retires the clone as soon as its subtree is finished; routing
 // clones through an arena makes the hot loop allocation-free after
 // warm-up (the steady state holds one retired interpreter per tree
 // level). An arena is not goroutine-safe; Enumerate uses one per call.

@@ -13,9 +13,6 @@ import (
 type EnumConfig struct {
 	// Interp bounds each interpreted path.
 	Interp Config
-	// MaxExecutions aborts enumeration after this many complete executions
-	// (0 = unlimited). Exceeding it yields ErrBudget.
-	MaxExecutions int
 	// MaxPaths aborts after exploring this many paths, complete or not
 	// (0 = unlimited). Exceeding it yields ErrBudget.
 	MaxPaths int
@@ -32,8 +29,8 @@ type EnumConfig struct {
 	// observations (keyed by OpID) and the final memory state, i.e.
 	// mem.Result — because two operations commute only when they do not
 	// conflict in the paper's Definition 3 sense. Executions then counts
-	// representatives, not interleavings. Programs with more than 64
-	// threads fall back to the naive enumeration.
+	// representatives, not interleavings. Without it, or for programs
+	// with more than 64 threads, the same walk visits every interleaving.
 	Reduce bool
 	// Cancel, when non-nil, is polled periodically (every cancelPollMask+1
 	// steps) during enumeration; returning true aborts the search with
@@ -66,7 +63,7 @@ type EnumConfig struct {
 // grows the trace where it overflows, once per node at that depth.
 const maxTraceHint = 256
 
-// ErrBudget reports that enumeration exceeded its execution or path budget.
+// ErrBudget reports that enumeration exceeded its path budget.
 var ErrBudget = errors.New("ideal: enumeration budget exceeded")
 
 // ErrCanceled reports that EnumConfig.Cancel asked the search to stop.
@@ -127,30 +124,28 @@ type Visitor func(*Interp) error
 // it to snapshot.
 func Enumerate(p *program.Program, cfg EnumConfig, visit Visitor) (EnumStats, error) {
 	var stats EnumStats
-	var ar arena
 	root := New(p, cfg.Interp)
 	// Every path extends the root's trace in place (copyFrom): size it
 	// for the longest path, plus one slot for the step that finds a
 	// thread's budget spent. That step appends nothing, but a trace
 	// full before it would make copyFrom grow the trace for it.
 	root.trace = make([]mem.Op, 0, min(pathBound(p, cfg.Interp.maxMemOps())+1, maxTraceHint))
-	var err error
+	r := &reducer{cfg: cfg, stats: &stats, visit: visit}
+	var reads [][]byte
 	if cfg.Reduce && p.NumThreads() <= maxReduceThreads {
-		r := &reducer{cfg: cfg, stats: &stats, visit: visit, memo: getMemo(), ar: &ar}
+		r.memo = getMemo()
 		defer putMemo(r.memo)
 		// The read logs are extended in place like the trace (readLogs);
 		// a read's varint takes one or two bytes for small values. Under
 		// Observed the key leaves them out.
-		reads := make([][]byte, p.NumThreads())
+		reads = make([][]byte, p.NumThreads())
 		for t := range reads {
 			if cfg.Observed == nil {
 				reads[t] = make([]byte, 0, 2*min(cfg.Interp.maxMemOps(), maxTraceHint))
 			}
 		}
-		err = r.explore(root, 0, reads)
-	} else {
-		err = enumerate(root, cfg, &stats, &ar, visit)
 	}
+	err := r.explore(root, 0, reads)
 	if errors.Is(err, ErrStop) {
 		return stats, nil
 	}
@@ -176,51 +171,6 @@ func pathBound(p *program.Program, maxMemOps int) int {
 		n += ops
 	}
 	return n
-}
-
-func enumerate(it *Interp, cfg EnumConfig, stats *EnumStats, ar *arena, visit Visitor) error {
-	if cfg.MaxPaths > 0 && stats.Steps > cfg.MaxPaths {
-		return ErrBudget
-	}
-	if cfg.canceled(stats.Steps) {
-		return ErrCanceled
-	}
-	if it.Done() {
-		stats.Executions++
-		if cfg.MaxExecutions > 0 && stats.Executions > cfg.MaxExecutions {
-			return ErrBudget
-		}
-		return visit(it)
-	}
-	run := it.RunnableInto(ar.ints())
-	for _, tid := range run {
-		child := ar.clone(it)
-		op, ok, err := child.Step(tid)
-		if err == nil && ok && cfg.contradicts(op) {
-			ar.release(child)
-			continue
-		}
-		stats.Steps++
-		switch {
-		case errors.Is(err, ErrTruncated):
-			ar.release(child)
-			stats.Truncated++
-			if cfg.SkipTruncated {
-				continue
-			}
-			return ErrTruncated
-		case err != nil:
-			ar.release(child)
-			return err
-		}
-		err = enumerate(child, cfg, stats, ar, visit)
-		ar.release(child)
-		if err != nil {
-			return err
-		}
-	}
-	ar.releaseInts(run)
-	return nil
 }
 
 // RunSchedule interprets p under an explicit schedule: schedule[i] names

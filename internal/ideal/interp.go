@@ -11,13 +11,17 @@
 // granularity preserves the full set of observable behaviors while keeping
 // enumeration tractable.
 //
+// Enumerate is one depth-first walker. With reduction on it prunes
+// interleavings that commute independent operations (sleep sets and a
+// state memo); with reduction off, or for programs wider than the
+// sleep-set mask, the same walk visits every interleaving.
+//
 // Memory is dense: one slot per address of the program's sorted address
 // table, resolved once per program, so a step indexes a slice and a
-// state key walks the slots in address order. The depth-first walkers
-// share one path trace between a node and its children instead of
-// copying it per step, so a path costs its length, not its length
-// squared, and the reducer's memo storage is recycled from one
-// enumeration to the next.
+// state key walks the slots in address order. The walk shares one path
+// trace between a node and its children instead of copying it per
+// step, so a path costs its length, not its length squared, and the
+// memo's storage is recycled from one enumeration to the next.
 package ideal
 
 import (
@@ -32,28 +36,19 @@ import (
 // Config bounds interpretation so that buggy or adversarially scheduled
 // programs (e.g. spin loops under unfair interleavings) cannot run forever.
 type Config struct {
-	// MaxLocalSteps bounds the register-only instructions executed within
-	// one Step call; exceeding it is an error (local infinite loop).
-	// Zero means DefaultMaxLocalSteps.
-	MaxLocalSteps int
 	// MaxMemOpsPerThread bounds the dynamic memory operations a single
 	// thread may perform; exceeding it truncates the path (ErrTruncated).
 	// Zero means DefaultMaxMemOps.
 	MaxMemOpsPerThread int
 }
 
-// Defaults for Config fields.
-const (
-	DefaultMaxLocalSteps = 10_000
-	DefaultMaxMemOps     = 10_000
-)
+// DefaultMaxLocalSteps bounds the register-only instructions executed
+// within one Step call; exceeding it is an error (local infinite loop).
+const DefaultMaxLocalSteps = 10_000
 
-func (c Config) maxLocal() int {
-	if c.MaxLocalSteps > 0 {
-		return c.MaxLocalSteps
-	}
-	return DefaultMaxLocalSteps
-}
+// DefaultMaxMemOps is the per-thread memory-operation budget when
+// Config.MaxMemOpsPerThread is zero.
+const DefaultMaxMemOps = 10_000
 
 func (c Config) maxMemOps() int {
 	if c.MaxMemOpsPerThread > 0 {
@@ -105,8 +100,8 @@ func (lay *layout) slot(a mem.Addr) int {
 }
 
 // Interp interprets one program on the idealized architecture. The zero
-// value is not usable; construct with New. Interp values are cheap to
-// Clone, which the enumerator exploits.
+// value is not usable; construct with New. The enumerator copies an
+// Interp once per step (copyFrom), so its state is kept small and flat.
 type Interp struct {
 	prog    *program.Program
 	cfg     Config
@@ -145,27 +140,11 @@ func New(p *program.Program, cfg Config) *Interp {
 	return it
 }
 
-// Clone returns an independent copy of the interpreter state.
-func (it *Interp) Clone() *Interp {
-	out := &Interp{
-		prog:    it.prog,
-		cfg:     it.cfg,
-		lay:     it.lay,
-		threads: slices.Clone(it.threads),
-		memory:  slices.Clone(it.memory),
-		present: slices.Clone(it.present),
-		// One spare slot: the clone's next Step appends to the trace.
-		trace: make([]mem.Op, len(it.trace), len(it.trace)+1),
-	}
-	copy(out.trace, it.trace)
-	return out
-}
-
 // copyFrom overwrites it with src's state, reusing it's storage, and
 // shares src's trace rather than copying it: it's next Step appends in
 // place, over whatever a previous child of src left there. That is what
 // lets arena.clone make a child per step at the cost of the state alone,
-// and it is sound only for depth-first walkers, which never step src
+// and it is sound only for a depth-first walk, which never steps src
 // while a child lives. A full src grows first, so that all of its
 // children keep sharing one array.
 func (it *Interp) copyFrom(src *Interp) {
@@ -251,8 +230,8 @@ func (it *Interp) advance(tid int) error {
 	ts := &it.threads[tid]
 	instrs := it.prog.Threads[tid].Instrs
 	for local := 0; ; local++ {
-		if local > it.cfg.maxLocal() {
-			return fmt.Errorf("ideal: thread %d exceeded %d local steps (infinite local loop?)", tid, it.cfg.maxLocal())
+		if local > DefaultMaxLocalSteps {
+			return fmt.Errorf("ideal: thread %d exceeded %d local steps (infinite local loop?)", tid, DefaultMaxLocalSteps)
 		}
 		if ts.pc < 0 || ts.pc >= len(instrs) {
 			ts.halted = true

@@ -7,14 +7,15 @@ import (
 	"weakorder/internal/mem"
 )
 
-// Partial-order reduction for Enumerate (EnumConfig.Reduce).
+// The interleaving walk behind Enumerate, and its partial-order
+// reduction (EnumConfig.Reduce).
 //
 // Two adjacent steps of different threads commute whenever their memory
 // operations are independent, so all interleavings of one Mazurkiewicz
 // trace produce the same mem.Result: the same value for every dynamic
 // read (reads are keyed by OpID and each thread's operations stay in
-// program order) and the same final memory. The reducer therefore
-// explores one representative ordering per trace:
+// program order) and the same final memory. With reduction on, the
+// walk explores one representative ordering per trace:
 //
 //   - Sleep sets (Godefroid): after fully exploring the branch that
 //     steps thread t first, t is added to the sleep set for the
@@ -32,33 +33,38 @@ import (
 //     subset of the current one — otherwise the earlier visit explored
 //     strictly fewer first-steps and the state must be re-expanded.
 //
+// With reduction off the walk has no memo, and every child starts with
+// an empty sleep set, so it visits every interleaving.
+//
 // Dependence is conflict in the paper's Definition 3 sense —
 // mem.Conflict: same address with at least one write component —
 // optionally strengthened by PreserveSyncOrder to keep same-address
 // synchronization pairs ordered (the hb builders serialize those by
 // completion order even when both only read).
 
-// maxReduceThreads bounds the sleep-set bitmask; programs with more
-// threads fall back to naive enumeration.
+// maxReduceThreads bounds the sleep-set bitmask; wider programs are
+// walked without reduction.
 const maxReduceThreads = 64
 
+// reducer is one depth-first walk of Enumerate.
 type reducer struct {
 	cfg   EnumConfig
 	stats *EnumStats
 	visit Visitor
 	// memo maps state+reads keys to the sleep sets under which the
-	// state was already fully explored.
+	// state was already fully explored; nil when reduction is off.
 	memo *memo
 	// ar recycles per-step interpreter clones and runnable scratch;
 	// keyBuf is memoKey's build buffer (safe to share across levels
 	// because the memo is read and written before any recursion).
-	ar     *arena
+	ar     arena
 	keyBuf []byte
 }
 
-// explore enumerates representatives of the complete executions
-// reachable from it whose first step is not a sleeping thread. reads
-// holds each thread's read-value history along the current path.
+// explore visits the complete executions reachable from it whose first
+// step is not a sleeping thread: a representative of each trace under
+// reduction, every one without. reads holds each thread's read-value
+// history along the current path (nil without reduction).
 func (r *reducer) explore(it *Interp, sleep uint64, reads [][]byte) error {
 	if r.cfg.MaxPaths > 0 && r.stats.Steps > r.cfg.MaxPaths {
 		return ErrBudget
@@ -68,16 +74,13 @@ func (r *reducer) explore(it *Interp, sleep uint64, reads [][]byte) error {
 	}
 	if it.Done() {
 		r.stats.Executions++
-		if r.cfg.MaxExecutions > 0 && r.stats.Executions > r.cfg.MaxExecutions {
-			return ErrBudget
-		}
 		return r.visit(it)
 	}
 	// covered marks the state on entry: the interleaving graph is
 	// acyclic (every step lengthens the trace), so a state can never
 	// re-reach itself and a revisit only happens after this call
 	// completes.
-	if r.memo.covered(r.memoKey(it, reads), sleep) {
+	if r.memo != nil && r.memo.covered(r.memoKey(it, reads), sleep) {
 		r.stats.MemoHits++
 		return nil
 	}
@@ -115,17 +118,21 @@ func (r *reducer) explore(it *Interp, sleep uint64, reads [][]byte) error {
 			r.ar.release(child)
 			return err
 		}
-		childSleep := sleep
-		childReads := r.ar.readLogs(reads)
-		if ok {
-			childSleep = r.filterSleep(it, sleep, op)
-			if op.HasReadComponent() && r.cfg.Observed == nil {
-				childReads[tid] = appendVarint(childReads[tid], int64(op.Got))
+		if r.memo == nil {
+			err = r.explore(child, 0, nil)
+		} else {
+			childSleep := sleep
+			childReads := r.ar.readLogs(reads)
+			if ok {
+				childSleep = r.filterSleep(it, sleep, op)
+				if op.HasReadComponent() && r.cfg.Observed == nil {
+					childReads[tid] = appendVarint(childReads[tid], int64(op.Got))
+				}
 			}
+			err = r.explore(child, childSleep, childReads)
+			r.ar.releaseReadLogs(childReads)
 		}
-		err = r.explore(child, childSleep, childReads)
 		r.ar.release(child)
-		r.ar.releaseReadLogs(childReads)
 		if err != nil {
 			return err
 		}

@@ -136,8 +136,9 @@ func TestReducedEnumerationPrunes(t *testing.T) {
 	}
 }
 
-// TestReduceManyThreadsFallsBack checks the >64-thread fallback keeps
-// working (no bitmask overflow): it must behave exactly like naive.
+// TestReduceManyThreadsFallsBack checks that a program wider than the
+// sleep-set mask is walked without reduction, with no bitmask overflow,
+// and still stops at its path budget.
 func TestReduceManyThreadsFallsBack(t *testing.T) {
 	b := program.NewBuilder("wide")
 	x := b.Var("x")
@@ -151,11 +152,11 @@ func TestReduceManyThreadsFallsBack(t *testing.T) {
 	cfg := ideal.EnumConfig{
 		Interp:        ideal.Config{MaxMemOpsPerThread: 4},
 		SkipTruncated: true,
-		MaxExecutions: 10,
+		MaxPaths:      10,
 		Reduce:        true,
 	}
 	_, err = ideal.Enumerate(p, cfg, func(*ideal.Interp) error { return nil })
 	if err != ideal.ErrBudget {
-		t.Fatalf("expected ErrBudget from naive fallback, got %v", err)
+		t.Fatalf("expected ErrBudget from the unreduced walk, got %v", err)
 	}
 }

@@ -9,8 +9,8 @@
 // every read checked against the observation (EnumConfig.Observed): an
 // interleaving whose next read returns another value is pruned, and the
 // walk stops at the first complete execution whose final memory also
-// matches. The enumerator's sleep-set reduction and state memo (see
-// Config.NoReduce) skip interleavings that merely commute
+// matches. The enumerator's sleep-set reduction and state memo
+// (ideal.EnumConfig.Reduce) skip interleavings that merely commute
 // non-conflicting operations of an already-searched branch; such
 // interleavings produce the identical result, so they cannot change the
 // verdict.
@@ -42,14 +42,6 @@ type Config struct {
 	// returning true aborts with ErrCanceled. Cancellation is
 	// cooperative (no goroutines), so an abandoned search leaks nothing.
 	Cancel func() bool
-	// NoReduce selects ideal's naive walk, which has neither sleep sets
-	// nor a state memo, and so searches every interleaving consistent
-	// with the observation. The reduction never changes the verdict (a
-	// result matches some interleaving iff it matches some
-	// representative of a conflict-equivalence class, since all members
-	// produce the same result); the flag exists for differential
-	// testing. The witness execution may differ between the two modes.
-	NoReduce bool
 }
 
 // DefaultMaxStates bounds the search. A state is one interpreter step
@@ -117,7 +109,7 @@ func Matches(p *program.Program, r mem.Result, cfg Config) (Match, error) {
 		Interp:        cfg.Interp,
 		MaxPaths:      cfg.maxStates(),
 		SkipTruncated: true,
-		Reduce:        !cfg.NoReduce,
+		Reduce:        true,
 		Cancel:        cfg.Cancel,
 		Observed:      r.Reads,
 	}, func(it *ideal.Interp) error {
