@@ -140,20 +140,6 @@ func (s *Set) Fill() {
 	}
 }
 
-// Intersects reports whether s and other share any member; both must have
-// equal capacity.
-func (s *Set) Intersects(other *Set) bool {
-	if other.n != s.n {
-		panic(fmt.Sprintf("bitset: capacity mismatch %d != %d", s.n, other.n))
-	}
-	for i, w := range other.words {
-		if s.words[i]&w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Equal reports whether s and other hold exactly the same members; both
 // must have equal capacity.
 func (s *Set) Equal(other *Set) bool {

@@ -366,12 +366,6 @@ func (c *Cache) Reset(retryTimeout sim.Time, retryMax int) {
 	}
 }
 
-// SetOnRetry replaces the retry observer (pooled machines rebuild their
-// fault injector per run).
-func (c *Cache) SetOnRetry(fn func(dst int, m network.Msg, attempt int)) {
-	c.cfg.OnRetry = fn
-}
-
 // newLine hands out a zeroed line from the arena.
 func (c *Cache) newLine() *line {
 	ci, li := c.lineN/lineChunk, c.lineN%lineChunk

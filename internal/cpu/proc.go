@@ -142,15 +142,16 @@ type Config struct {
 	// MaxOutstandingWrites bounds writes issued to the memory system but
 	// not yet committed — the lockup-free write parallelism (default 4).
 	MaxOutstandingWrites int
-	// MaxLocalRun bounds consecutive local instructions per cycle slot
-	// (default 10000; a local infinite loop halts the simulation with an
-	// error via the machine's watchdog).
-	MaxLocalRun int
 	// Track, when non-nil, receives stall intervals as timeline spans
 	// ("stall:<reason>"). Recording is a no-op on nil and never perturbs
 	// execution.
 	Track *metrics.Track
 }
+
+// maxLocalRun bounds consecutive local instructions per cycle slot; a
+// local infinite loop halts the simulation with an error via the
+// machine's watchdog.
+const maxLocalRun = 10_000
 
 type procState int
 
@@ -327,9 +328,6 @@ func (p *Proc) Reset(cfg Config, thread program.Thread) {
 	if cfg.MaxOutstandingWrites == 0 {
 		cfg.MaxOutstandingWrites = 4
 	}
-	if cfg.MaxLocalRun == 0 {
-		cfg.MaxLocalRun = 10_000
-	}
 	p.cfg = cfg
 	p.thread = thread
 	p.pc = 0
@@ -490,11 +488,11 @@ func (p *Proc) emit(op mem.Op) {
 
 // step executes instructions until it consumes the cycle: one memory
 // dispatch, a stall, or a halt. Local register instructions execute for
-// free up to MaxLocalRun (the front end is not the bottleneck under
+// free up to maxLocalRun (the front end is not the bottleneck under
 // study; memory behavior is).
 func (p *Proc) step() {
 	for local := 0; ; local++ {
-		if local > p.cfg.MaxLocalRun {
+		if local > maxLocalRun {
 			p.err = fmt.Errorf("cpu %d: local infinite loop at pc %d", p.cfg.ID, p.pc)
 			return
 		}

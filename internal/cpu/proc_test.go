@@ -244,7 +244,7 @@ func TestLocalInfiniteLoopReportsError(t *testing.T) {
 		tb.Label("top")
 		tb.Jmp("top")
 	})
-	p := New(k, Config{Policy: policy.WODef2, MaxLocalRun: 100}, th, port, nil)
+	p := New(k, Config{Policy: policy.WODef2}, th, port, nil)
 	k.AdvanceTo(1)
 	p.Tick()
 	if p.Err() == nil {

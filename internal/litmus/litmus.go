@@ -137,27 +137,6 @@ func MessagePassingRacySpin() *program.Program {
 	return b.MustBuild()
 }
 
-// MPRacySpinStale reports whether a result of MessagePassingRacySpin
-// shows the consumer reading stale data (0) after observing the flag.
-func MPRacySpinStale(r mem.Result) bool {
-	for id, obs := range r.Reads {
-		if id.Proc == 1 && obs.Addr == 0 && obs.Value == 0 {
-			// Addr 0 is data; the consumer only reads it after seeing
-			// flag == 1.
-			return true
-		}
-	}
-	return false
-}
-
-// MPRacyStale reports whether a result of MessagePassingRacy shows the
-// non-SC outcome: flag observed 1 but data observed 0.
-func MPRacyStale(r mem.Result) bool {
-	flag, okF := r.Reads[mem.OpID{Proc: 1, Index: 0}]
-	data, okD := r.Reads[mem.OpID{Proc: 1, Index: 1}]
-	return okF && okD && flag.Value == 1 && data.Value == 0
-}
-
 // LoadBuffering is the LB litmus test:
 //
 //	P0: r0 = X; Y = 1          P1: r1 = Y; X = 1

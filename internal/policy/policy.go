@@ -39,11 +39,6 @@ const (
 // All lists every policy, in presentation order.
 func All() []Kind { return []Kind{SC, Unconstrained, WODef1, WODef2, WODef2RO} }
 
-// WeaklyOrdered lists the policies that are weakly ordered with respect
-// to DRF0 under Definition 2 (SC trivially appears SC to everyone;
-// Unconstrained is excluded).
-func WeaklyOrdered() []Kind { return []Kind{SC, WODef1, WODef2, WODef2RO} }
-
 // String names the policy as used in reports.
 func (k Kind) String() string {
 	switch k {

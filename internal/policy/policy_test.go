@@ -46,15 +46,3 @@ func TestPolicyPredicates(t *testing.T) {
 		}
 	}
 }
-
-func TestWeaklyOrderedSubset(t *testing.T) {
-	wo := WeaklyOrdered()
-	for _, k := range wo {
-		if k == Unconstrained {
-			t.Error("Unconstrained is not weakly ordered")
-		}
-	}
-	if len(wo) != 4 {
-		t.Errorf("WeaklyOrdered has %d entries, want 4", len(wo))
-	}
-}

@@ -40,8 +40,6 @@ type Report struct {
 type Config struct {
 	// Seeds is the number of simulations (default 20).
 	Seeds int
-	// FirstSeed offsets the seed sequence.
-	FirstSeed int64
 	// Forbidden optionally classifies each result.
 	Forbidden func(mem.Result) bool
 }
@@ -59,7 +57,7 @@ func RunOn(prog *program.Program, cfg machine.Config, rc Config) (*Report, error
 		SCOutcome: make(map[string]bool),
 	}
 	for s := 0; s < rc.Seeds; s++ {
-		res, err := machine.Run(prog, cfg, rc.FirstSeed+int64(s))
+		res, err := machine.Run(prog, cfg, int64(s))
 		if err != nil {
 			return nil, err
 		}

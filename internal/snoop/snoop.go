@@ -106,10 +106,11 @@ type BusConfig struct {
 	TransferLatency sim.Time
 	// MemLatency is added when memory (not a cache) supplies the data.
 	MemLatency sim.Time
-	// RetryDelay is the re-arbitration delay after a retried (NACKed)
-	// transaction (>= 1).
-	RetryDelay sim.Time
 }
+
+// retryDelay is the re-arbitration delay after a retried (NACKed)
+// transaction.
+const retryDelay sim.Time = 5
 
 // Stats counts bus activity.
 type Stats struct {
@@ -138,9 +139,6 @@ func NewBus(k *sim.Kernel, cfg BusConfig) *Bus {
 	}
 	if cfg.MemLatency == 0 {
 		cfg.MemLatency = 1
-	}
-	if cfg.RetryDelay == 0 {
-		cfg.RetryDelay = 5
 	}
 	return &Bus{k: k, cfg: cfg, memory: make(map[mem.Addr]mem.Value)}
 }
@@ -213,7 +211,7 @@ func (b *Bus) execute(t *tx) sim.Time {
 		}
 		if c.holdsReserved(t.addr) {
 			b.stats.Retries++
-			b.k.After(b.cfg.RetryDelay, func() { b.request(t) })
+			b.k.After(retryDelay, func() { b.request(t) })
 			return 0
 		}
 	}

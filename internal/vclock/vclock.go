@@ -259,9 +259,6 @@ func (d *Detector) Races() []Race { return d.races }
 // HasRace reports whether any race was detected.
 func (d *Detector) HasRace() bool { return len(d.races) > 0 }
 
-// Clock returns a copy of processor p's current clock (for tests).
-func (d *Detector) Clock(p int) VC { return d.clocks[p].Clone() }
-
 // CheckExecution runs a fresh detector over an execution and returns the
 // races found.
 func CheckExecution(e *mem.Execution, mode hb.SyncMode) []Race {
