@@ -2,6 +2,7 @@ package scmatch
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"testing"
 
@@ -118,6 +119,89 @@ func TestDecideFallsBackToSearch(t *testing.T) {
 	}
 	if _, err := Decide(p, r, Config{MaxStates: 1}); !errors.Is(err, ErrBudget) {
 		t.Errorf("Decide with MaxStates 1: err = %v, want ErrBudget", err)
+	}
+}
+
+// TestDecideFallbackReasons pins where each query that saturation hands
+// on ends up: for one query per fallback reason the production Decide
+// can reach, Decide reports Sat false, names the reason, and answers
+// exactly the (OK, err) that Matches answers for the same query. The
+// replay-budget query also overruns the interpreter's local-step bound,
+// so both return that error, which is neither ErrBudget nor
+// ErrCanceled. sat.ReasonWitness is not listed: it guards a witness
+// built from a full resolution, is documented as unreachable, and no
+// query is known to reach it. A canceled query returns ErrCanceled
+// whatever its reason.
+func TestDecideFallbackReasons(t *testing.T) {
+	twoStores := func(name string, reader bool) (*program.Program, mem.Addr) {
+		b := program.NewBuilder(name)
+		x := b.Var("x")
+		b.Thread().StoreImm(x, 1)
+		b.Thread().StoreImm(x, 1)
+		if reader {
+			b.Thread().Load(program.R0, x)
+		}
+		return b.MustBuild(), x
+	}
+	ambiguous, x := twoStores("ambiguous-rf", true)
+	unordered, _ := twoStores("co-incomplete", false)
+
+	b := program.NewBuilder("too-large")
+	y := b.Var("y")
+	th := b.Thread()
+	th.Label("top")
+	th.Store(y, program.R1)
+	th.AddImm(program.R1, program.R1, 1)
+	th.BltImm(program.R1, 4100, "top")
+	large := b.MustBuild()
+
+	// 12,000 register-only steps between two stores. The loop follows
+	// a store because the interpreter restarts a thread's leading
+	// local run with a fresh count on its first step.
+	b = program.NewBuilder("replay-budget")
+	z := b.Var("z")
+	th = b.Thread()
+	th.StoreImm(z, 2)
+	th.Label("spin")
+	th.AddImm(program.R1, program.R1, 1)
+	th.BltImm(program.R1, 6000, "spin")
+	th.StoreImm(z, 1)
+	spin := b.MustBuild()
+
+	noReads := map[mem.OpID]mem.ReadObservation{}
+	for _, tc := range []struct {
+		reason string
+		p      *program.Program
+		r      mem.Result
+	}{
+		{sat.ReasonAmbiguousRF, ambiguous, mem.Result{
+			Reads: map[mem.OpID]mem.ReadObservation{
+				{Proc: 2, Index: 0}: {ID: mem.OpID{Proc: 2, Index: 0}, Addr: x, Value: 1},
+			},
+			Final: map[mem.Addr]mem.Value{x: 1},
+		}},
+		{sat.ReasonCoIncomplete, unordered, mem.Result{Reads: noReads, Final: map[mem.Addr]mem.Value{x: 1}}},
+		{sat.ReasonTooLarge, large, mem.Result{Reads: noReads, Final: map[mem.Addr]mem.Value{y: 4099}}},
+		{sat.ReasonReplayBudget, spin, mem.Result{Reads: noReads, Final: map[mem.Addr]mem.Value{z: 1}}},
+	} {
+		d, derr := Decide(tc.p, tc.r, Config{})
+		m, merr := Matches(tc.p, tc.r, Config{})
+		if d.Sat || d.SatFallback != tc.reason {
+			t.Errorf("%s: Sat=%v SatFallback=%q, want a search answer after %q", tc.p.Name, d.Sat, d.SatFallback, tc.reason)
+		}
+		if d.OK != m.OK || fmt.Sprint(derr) != fmt.Sprint(merr) {
+			t.Errorf("%s: Decide = (%v, %v), Matches = (%v, %v)", tc.p.Name, d.OK, derr, m.OK, merr)
+		}
+		if tc.reason == sat.ReasonReplayBudget {
+			if derr == nil || errors.Is(derr, ErrBudget) || errors.Is(derr, ErrCanceled) {
+				t.Errorf("%s: err = %v, want the interpreter's local-step error", tc.p.Name, derr)
+			}
+		} else if derr != nil || !d.OK {
+			t.Errorf("%s: Decide = (%v, %v), want a match", tc.p.Name, d.OK, derr)
+		}
+		if _, err := Decide(tc.p, tc.r, Config{Cancel: func() bool { return true }}); !errors.Is(err, ErrCanceled) {
+			t.Errorf("%s: canceled Decide: err = %v, want ErrCanceled", tc.p.Name, err)
+		}
 	}
 }
 
