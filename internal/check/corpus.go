@@ -122,8 +122,13 @@ func WriteViolation(dir string, rep ViolationReport) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	name := corpusName(rep)
-	if err := atomicWriteFile(filepath.Join(dir, name+".litmus"), []byte(rep.Litmus), 0o644); err != nil {
+	return writeEntry(filepath.Join(dir, corpusName(rep)), rep)
+}
+
+// writeEntry writes the pair stem.litmus + stem.json, the report with
+// its checksum recomputed.
+func writeEntry(stem string, rep ViolationReport) error {
+	if err := atomicWriteFile(stem+".litmus", []byte(rep.Litmus), 0o644); err != nil {
 		return err
 	}
 	rep.Checksum = reportChecksum(rep)
@@ -131,7 +136,7 @@ func WriteViolation(dir string, rep ViolationReport) error {
 	if err != nil {
 		return err
 	}
-	return atomicWriteFile(filepath.Join(dir, name+".json"), append(b, '\n'), 0o644)
+	return atomicWriteFile(stem+".json", append(b, '\n'), 0o644)
 }
 
 // CorpusEntry is one loaded reproducer.
