@@ -281,6 +281,8 @@ func TestCriticalSectionCounterAlwaysCorrect(t *testing.T) {
 	}
 }
 
+// TestCloneIndependence: two interpreters of one program share no
+// state, so stepping one changes its state key and not the other's.
 func TestCloneIndependence(t *testing.T) {
 	p := litmus.Dekker()
 	a, b := New(p, Config{}), New(p, Config{})
@@ -362,9 +364,10 @@ func TestMaxPathsBudget(t *testing.T) {
 }
 
 // TestEnumeratedTracesReplay checks the walk's shared path trace:
-// every execution it visits, with reduction off or on, must be exactly what
-// replaying its own schedule from scratch produces — the same operations
-// and the same final memory — so no sibling branch has written over it.
+// every execution it visits, with reduction off or on, must be exactly
+// what replaying its own schedule from scratch produces — the same
+// operations and the same final memory — so no sibling branch has
+// written over it.
 func TestEnumeratedTracesReplay(t *testing.T) {
 	for _, p := range litmus.All() {
 		for _, reduce := range []bool{false, true} {

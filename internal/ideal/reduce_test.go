@@ -137,8 +137,8 @@ func TestReducedEnumerationPrunes(t *testing.T) {
 }
 
 // TestReduceManyThreadsFallsBack checks that a program wider than the
-// sleep-set mask is walked without reduction, with no bitmask overflow,
-// and still stops at its path budget.
+// sleep-set mask, which is walked without reduction, overflows no
+// bitmask and still stops at its path budget.
 func TestReduceManyThreadsFallsBack(t *testing.T) {
 	b := program.NewBuilder("wide")
 	x := b.Var("x")
