@@ -6,7 +6,7 @@ GO ?= go
 # idle machine for numbers worth comparing.
 BENCHTIME ?= 2s
 
-.PHONY: all build test short vet fmt bench
+.PHONY: all build test short vet fmt bench loc
 
 all: build test
 
@@ -35,3 +35,11 @@ fmt:
 #   GOMAXPROCS=2 scripts/bench.sh -benchtime $(BENCHTIME) -count 5 -baseline /tmp/baseline.json -o BENCH_oracle.json
 bench:
 	GOMAXPROCS=2 scripts/bench.sh -benchtime $(BENCHTIME) -count 5 -o BENCH_oracle.json
+
+# loc prints the non-test Go lines outside bench/, the count ROADMAP
+# tracks, per directory and in total. It lists files with git, so
+# untracked build output (.bench_build/'s module cache) is not counted.
+LOC_FILES = git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/'
+loc:
+	@$(LOC_FILES) | xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); if (d == $$2) d = "."; n[d] += $$1 } END { for (d in n) printf "%6d  %s\n", n[d], d }' | sort -k2
+	@printf '%6d  total\n' $$($(LOC_FILES) | xargs cat | wc -l)

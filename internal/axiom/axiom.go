@@ -19,7 +19,6 @@ package axiom
 import (
 	"time"
 
-	"weakorder/internal/ideal"
 	"weakorder/internal/mem"
 	"weakorder/internal/metrics"
 	"weakorder/internal/program"
@@ -34,10 +33,6 @@ type Config struct {
 	// the axiomatic and operational candidate spaces identical.
 	// Zero means DefaultMaxMemOps.
 	MaxMemOpsPerThread int
-	// MaxLocalSteps bounds register-only instructions between memory
-	// operations (a local infinite loop is an error).
-	// Zero means ideal.DefaultMaxLocalSteps.
-	MaxLocalSteps int
 	// MaxRunsPerThread caps the complete local runs enumerated per
 	// thread; exceeding it makes the result incomplete.
 	// Zero means DefaultMaxRunsPerThread.
@@ -78,9 +73,6 @@ const (
 func (c Config) withDefaults() Config {
 	if c.MaxMemOpsPerThread <= 0 {
 		c.MaxMemOpsPerThread = DefaultMaxMemOps
-	}
-	if c.MaxLocalSteps <= 0 {
-		c.MaxLocalSteps = ideal.DefaultMaxLocalSteps
 	}
 	if c.MaxRunsPerThread <= 0 {
 		c.MaxRunsPerThread = DefaultMaxRunsPerThread

@@ -1,6 +1,7 @@
 package axiom
 
 import (
+	"fmt"
 	"testing"
 
 	"weakorder/internal/drf"
@@ -176,12 +177,33 @@ func TestMessagePassingUnderRA(t *testing.T) {
 	}
 }
 
+// longLocalRuns is one thread of two 6,001-step register-only countdown
+// runs, each followed by a store: 12,002 local steps in all, but never
+// more than 6,001 between two memory operations, so it stays inside the
+// local-step bound.
+func longLocalRuns() *program.Program {
+	b := program.NewBuilder("long-local-runs")
+	x := b.Var("x")
+	th := b.Thread()
+	for i, v := range []mem.Value{1, 2} {
+		loop := fmt.Sprintf("count%d", i)
+		th.LoadImm(program.R1, 3000)
+		th.Label(loop)
+		th.AddImm(program.R1, program.R1, -1)
+		th.BneImm(program.R1, 0, loop)
+		th.StoreImm(x, v)
+	}
+	return b.MustBuild()
+}
+
 // TestSCOutcomesMatchOperational cross-checks the axiomatic SC outcome
 // set against scmatch.Outcomes (exhaustive idealized interleaving) on
-// the litmus suite with matched per-thread budgets.
+// the litmus suite with matched per-thread budgets, and on
+// longLocalRuns, whose local-step count must restart at each memory
+// operation on both sides.
 func TestSCOutcomesMatchOperational(t *testing.T) {
 	sc := MustLoad("sc")
-	for _, p := range litmus.All() {
+	for _, p := range append(litmus.All(), longLocalRuns()) {
 		budget := litmusBudget(p.Name)
 		t.Run(p.Name, func(t *testing.T) {
 			axOuts, st, err := Outcomes(p, sc, Config{MaxMemOpsPerThread: budget})

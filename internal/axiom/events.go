@@ -47,25 +47,10 @@ type event struct {
 func (e *event) isRead() bool  { return !e.fence && e.kind.ReadsMemory() }
 func (e *event) isWrite() bool { return !e.fence && (e.proc == mem.InitProc || e.kind.WritesMemory()) }
 
-// lval is a register value during symbolic local execution: either a
-// concrete value or the unread result of the memory op with ordinal ord
-// on address addr. Mov propagates symbolic values without pinning them.
-type lval struct {
-	known bool
-	v     mem.Value
-	ord   int
-	addr  mem.Addr
-}
-
-// errLocalBudget aborts run enumeration when a thread exceeds the local
-// step bound (a register-only infinite loop, mirroring ideal.Interp).
-var errLocalBudget = errors.New("axiom: local step budget exceeded")
-
 // runEnumerator enumerates the complete runs of one thread.
 type runEnumerator struct {
 	instrs    []program.Instr
 	memBudget int // max dynamic memory ops per run (truncation bound)
-	maxLocal  int
 	maxRuns   int
 	dom       map[mem.Addr][]mem.Value
 
@@ -135,154 +120,71 @@ func (re *runEnumerator) noteCut(evs []event) {
 // exec runs the thread deterministically under the given read pinnings.
 // It returns the completed run, or a non-nil escape when an unpinned read
 // value is about to influence execution (the caller forks on it), or
-// (nil, nil, nil) for a truncated run.
+// (nil, nil, nil) for a truncated run. Every instruction runs with the
+// interpreter's semantics (program.Instr's ExecLocal and WriteValue);
+// what symbolic execution adds is which registers hold an unpinned
+// read, and the fence events.
 func (re *runEnumerator) exec(pins map[int]mem.Value) ([]event, *escape, error) {
-	var regs [program.NumRegs]lval
-	for i := range regs {
-		regs[i] = lval{known: true}
-	}
+	var regs program.RegFile
+	// unread[r] is one past the position in evs of the unpinned read
+	// whose value r holds, or 0 when r's value is known.
+	var unread [program.NumRegs]int
 	var evs []event
+	// local counts the register-only run since the last memory
+	// operation, as program.Thread.RunLocal counts it.
 	pc, ord, local := 0, 0, 0
-
-	// need resolves a register for use; unknown values escape.
-	need := func(r program.Reg) (mem.Value, *escape) {
-		if !regs[r].known {
-			return 0, &escape{ord: regs[r].ord, addr: regs[r].addr}
-		}
-		return regs[r].v, nil
-	}
-	operand2 := func(in program.Instr) (mem.Value, *escape) {
-		if in.UseImm {
-			return in.Imm, nil
-		}
-		return need(in.Rt)
-	}
-
 	for {
 		if pc < 0 || pc >= len(re.instrs) {
 			return evs, nil, nil
 		}
 		in := re.instrs[pc]
-		if in.Op.IsMemory() {
-			if ord >= re.memBudget {
-				re.truncated = true
-				re.noteCut(evs)
-				return nil, nil, nil
-			}
-			ev := event{index: ord, kind: in.Op.MemKind(), addr: in.Addr}
-			bindRead := func(rd program.Reg) {
-				if v, ok := pins[ord]; ok {
-					ev.pinned, ev.got = true, v
-					regs[rd] = lval{known: true, v: v}
-				} else {
-					regs[rd] = lval{ord: ord, addr: in.Addr}
+		isMem := in.Op.IsMemory()
+		switch {
+		case isMem && ord >= re.memBudget:
+			re.truncated = true
+			re.noteCut(evs)
+			return nil, nil, nil
+		case !isMem && local == program.MaxLocalSteps:
+			return nil, nil, fmt.Errorf("axiom: %w", program.ErrLocalLoop)
+		}
+		// Reading a register that holds an unpinned read forks on the
+		// read's value; mov carries the read along unread.
+		if in.Op != program.OpMov {
+			rs, n := in.ReadRegs()
+			for _, r := range rs[:n] {
+				if u := unread[r]; u > 0 {
+					return nil, &escape{ord: evs[u-1].index, addr: evs[u-1].addr}, nil
 				}
 			}
-			storeVal := func() (mem.Value, *escape) {
-				if in.UseImm {
-					return in.Imm, nil
+		}
+		if isMem {
+			ev := event{index: ord, kind: in.Op.MemKind(), addr: in.Addr, data: in.WriteValue(&regs)}
+			if ev.kind.ReadsMemory() {
+				ev.got, ev.pinned = pins[ord]
+				regs[in.Rd], unread[in.Rd] = ev.got, 0
+				if !ev.pinned {
+					unread[in.Rd] = len(evs) + 1
 				}
-				return need(in.Rs)
-			}
-			switch in.Op {
-			case program.OpLoad, program.OpSyncLoad:
-				bindRead(in.Rd)
-			case program.OpStore, program.OpSyncStore:
-				v, esc := storeVal()
-				if esc != nil {
-					return nil, esc, nil
-				}
-				ev.data = v
-			case program.OpTAS:
-				bindRead(in.Rd)
-				ev.data = 1
-			case program.OpSwap:
-				v, esc := storeVal()
-				if esc != nil {
-					return nil, esc, nil
-				}
-				ev.data = v
-				bindRead(in.Rd)
-			default:
-				panic(fmt.Sprintf("axiom: unhandled memory opcode %v", in.Op))
 			}
 			evs = append(evs, ev)
-			ord++
-			pc++
+			pc, ord, local = pc+1, ord+1, 0
 			continue
-		}
-
-		local++
-		if local > re.maxLocal {
-			return nil, nil, errLocalBudget
 		}
 		switch in.Op {
-		case program.OpNop:
 		case program.OpFence:
 			evs = append(evs, event{index: -1, fence: true})
-		case program.OpLoadImm:
-			regs[in.Rd] = lval{known: true, v: in.Imm}
 		case program.OpMov:
-			regs[in.Rd] = regs[in.Rs]
-		case program.OpAdd:
-			a, esc := need(in.Rs)
-			if esc != nil {
-				return nil, esc, nil
-			}
-			b, esc := need(in.Rt)
-			if esc != nil {
-				return nil, esc, nil
-			}
-			regs[in.Rd] = lval{known: true, v: a + b}
-		case program.OpAddImm:
-			a, esc := need(in.Rs)
-			if esc != nil {
-				return nil, esc, nil
-			}
-			regs[in.Rd] = lval{known: true, v: a + in.Imm}
-		case program.OpSub:
-			a, esc := need(in.Rs)
-			if esc != nil {
-				return nil, esc, nil
-			}
-			b, esc := need(in.Rt)
-			if esc != nil {
-				return nil, esc, nil
-			}
-			regs[in.Rd] = lval{known: true, v: a - b}
-		case program.OpBeq, program.OpBne, program.OpBlt, program.OpBge:
-			a, esc := need(in.Rs)
-			if esc != nil {
-				return nil, esc, nil
-			}
-			b, esc := operand2(in)
-			if esc != nil {
-				return nil, esc, nil
-			}
-			taken := false
-			switch in.Op {
-			case program.OpBeq:
-				taken = a == b
-			case program.OpBne:
-				taken = a != b
-			case program.OpBlt:
-				taken = a < b
-			case program.OpBge:
-				taken = a >= b
-			}
-			if taken {
-				pc = in.Target
-				continue
-			}
-		case program.OpJmp:
-			pc = in.Target
-			continue
-		case program.OpHalt:
-			return evs, nil, nil
+			unread[in.Rd] = unread[in.Rs]
 		default:
-			panic(fmt.Sprintf("axiom: unhandled local opcode %v", in.Op))
+			if rd, ok := in.LocalDest(); ok {
+				unread[rd] = 0
+			}
 		}
-		pc++
+		local++
+		var halted bool
+		if pc, halted = in.ExecLocal(&regs, pc); halted {
+			return evs, nil, nil
+		}
 	}
 }
 
@@ -304,7 +206,6 @@ func enumerateRuns(p *program.Program, dom map[mem.Addr][]mem.Value, cfg *Config
 		re := &runEnumerator{
 			instrs:    p.Threads[t].Instrs,
 			memBudget: cfg.MaxMemOpsPerThread,
-			maxLocal:  cfg.MaxLocalSteps,
 			maxRuns:   cfg.MaxRunsPerThread,
 			dom:       dom,
 		}

@@ -19,7 +19,7 @@ import (
 // would not reproduce — is rejected on resume instead of silently
 // merged. Bump it whenever generators, oracles, shrinking, or the
 // progOutcome encoding change observable results.
-const journalCodeHash = "check-v14" // v14: sat decides results of up to 4,096 events
+const journalCodeHash = "check-v15" // v15: one local-step count, restarted at each memory operation
 
 // journalMagic identifies the file format, independent of campaign
 // identity.

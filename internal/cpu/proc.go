@@ -148,11 +148,6 @@ type Config struct {
 	Track *metrics.Track
 }
 
-// maxLocalRun bounds consecutive local instructions per cycle slot; a
-// local infinite loop halts the simulation with an error via the
-// machine's watchdog.
-const maxLocalRun = 10_000
-
 type procState int
 
 const (
@@ -487,15 +482,14 @@ func (p *Proc) emit(op mem.Op) {
 }
 
 // step executes instructions until it consumes the cycle: one memory
-// dispatch, a stall, or a halt. Local register instructions execute for
-// free up to maxLocalRun (the front end is not the bottleneck under
-// study; memory behavior is).
+// dispatch, a fence, a stall, or a halt. Local register instructions
+// execute for free (the front end is not the bottleneck under study;
+// memory behavior is), counted as program.Thread.RunLocal counts them:
+// the run's program.MaxLocalSteps+1st is a local infinite loop, which
+// stops the simulation with an error. It keeps its own loop because a
+// fence ends its run and costs the cycle.
 func (p *Proc) step() {
 	for local := 0; ; local++ {
-		if local > maxLocalRun {
-			p.err = fmt.Errorf("cpu %d: local infinite loop at pc %d", p.cfg.ID, p.pc)
-			return
-		}
 		if p.pc < 0 || p.pc >= len(p.thread.Instrs) {
 			p.state = stHalted
 			p.stats.DoneAt = uint64(p.k.Now())
@@ -506,6 +500,10 @@ func (p *Proc) step() {
 		in := p.thread.Instrs[p.pc]
 		if in.Op.IsMemory() {
 			p.dispatch(in)
+			return
+		}
+		if local == program.MaxLocalSteps {
+			p.err = fmt.Errorf("cpu %d: local infinite loop at pc %d", p.cfg.ID, p.pc)
 			return
 		}
 		if in.Op == program.OpFence {

@@ -185,7 +185,7 @@ func RunSchedule(p *program.Program, cfg Config, schedule []int) (*Interp, error
 		if tid < 0 || tid >= len(it.threads) || it.threads[tid].halted {
 			continue
 		}
-		if _, _, err := it.Step(tid); err != nil {
+		if _, err := it.Step(tid); err != nil {
 			return nil, err
 		}
 	}
@@ -204,7 +204,7 @@ func RunSeed(p *program.Program, cfg Config, seed int64) (*Interp, error) {
 	for !it.Done() {
 		run := it.Runnable()
 		tid := run[rng.Intn(len(run))]
-		if _, _, err := it.Step(tid); err != nil {
+		if _, err := it.Step(tid); err != nil {
 			return nil, fmt.Errorf("ideal: seed %d: %w", seed, err)
 		}
 	}
@@ -215,7 +215,7 @@ func RunSeed(p *program.Program, cfg Config, seed int64) (*Interp, error) {
 func drain(it *Interp) error {
 	for !it.Done() {
 		for _, tid := range it.Runnable() {
-			if _, _, err := it.Step(tid); err != nil {
+			if _, err := it.Step(tid); err != nil {
 				return err
 			}
 		}

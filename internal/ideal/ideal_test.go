@@ -208,8 +208,44 @@ func TestLocalInfiniteLoopDetected(t *testing.T) {
 	p := b.MustBuild()
 
 	it := New(p, Config{})
-	if _, _, err := it.Step(0); err == nil {
+	if _, err := it.Step(0); err == nil {
 		t.Fatal("local infinite loop must be detected")
+	}
+}
+
+// TestLeadingLocalRunBound: a register-only run that leads a thread is
+// bounded like any other. New runs it eagerly; once it has overrun the
+// bound, every Step of the thread fails with the local-step error, and
+// so does the walk. A leading run inside the bound reaches its store.
+func TestLeadingLocalRunBound(t *testing.T) {
+	countdown := func(n mem.Value) *program.Program {
+		b := program.NewBuilder("leading-loop")
+		z := b.Var("z")
+		th := b.Thread()
+		th.LoadImm(program.R1, n)
+		th.Label("spin")
+		th.AddImm(program.R1, program.R1, -1)
+		th.BneImm(program.R1, 0, "spin")
+		th.StoreImm(z, 1)
+		return b.MustBuild()
+	}
+	over := countdown(6000) // 12,001 local steps
+	it := New(over, Config{})
+	const want = "ideal: thread 0 exceeded 10000 local steps (infinite local loop?)"
+	for i := 0; i < 2; i++ {
+		if _, err := it.Step(0); err == nil || err.Error() != want || !errors.Is(err, program.ErrLocalLoop) {
+			t.Fatalf("Step %d: err = %v, want %q", i, err, want)
+		}
+	}
+	if _, _, known := it.PendingAccess(0); known {
+		t.Error("a thread whose run overran the bound has no pending access")
+	}
+	if _, err := Enumerate(over, EnumConfig{}, func(*Interp) error { return nil }); !errors.Is(err, program.ErrLocalLoop) {
+		t.Errorf("Enumerate: err = %v, want the local-step error", err)
+	}
+	stats, err := Enumerate(countdown(4999), EnumConfig{}, func(*Interp) error { return nil }) // 9,999 steps
+	if err != nil || stats.Executions != 1 {
+		t.Errorf("run inside the bound: %d executions, err = %v; want 1, nil", stats.Executions, err)
 	}
 }
 
@@ -286,7 +322,7 @@ func TestCriticalSectionCounterAlwaysCorrect(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	p := litmus.Dekker()
 	a, b := New(p, Config{}), New(p, Config{})
-	if _, _, err := a.Step(0); err != nil {
+	if _, err := a.Step(0); err != nil {
 		t.Fatal(err)
 	}
 	if string(a.AppendStateKey(nil)) == string(b.AppendStateKey(nil)) {
@@ -311,7 +347,7 @@ func TestStepHaltedThreadErrors(t *testing.T) {
 	if !it.Done() {
 		t.Fatal("memory-op-free thread must halt eagerly")
 	}
-	if _, _, err := it.Step(0); err == nil {
+	if _, err := it.Step(0); err == nil {
 		t.Fatal("stepping a halted thread must error")
 	}
 }

@@ -42,10 +42,6 @@ type Config struct {
 	MaxMemOpsPerThread int
 }
 
-// DefaultMaxLocalSteps bounds the register-only instructions executed
-// within one Step call; exceeding it is an error (local infinite loop).
-const DefaultMaxLocalSteps = 10_000
-
 // DefaultMaxMemOps is the per-thread memory-operation budget when
 // Config.MaxMemOpsPerThread is zero.
 const DefaultMaxMemOps = 10_000
@@ -134,7 +130,8 @@ func New(p *program.Program, cfg Config) *Interp {
 		// Eagerly run leading local instructions so that a runnable
 		// thread is always positioned at a memory instruction; this keeps
 		// interleaving choices meaningful (local computation cannot
-		// affect other threads). Local-loop errors surface on first Step.
+		// affect other threads). A run that overruns the local-step
+		// bound fails the thread's first Step.
 		_ = it.advance(i)
 	}
 	return it
@@ -207,84 +204,65 @@ func (it *Interp) Trace() []mem.Op { return it.trace }
 
 // PendingAccess returns the address and kind of the memory operation
 // thread tid will execute on its next Step. known is false when the
-// thread has halted or is not positioned at a memory instruction (a
-// deferred advance error); callers using this for independence must
-// then treat the thread's next step as dependent on everything.
+// thread has halted or is not positioned at a memory instruction (its
+// local run overran the bound); callers using this for independence
+// must then treat the thread's next step as dependent on everything.
 func (it *Interp) PendingAccess(tid int) (addr mem.Addr, kind mem.Kind, known bool) {
 	if tid < 0 || tid >= len(it.threads) || it.threads[tid].halted {
 		return 0, 0, false
 	}
-	ts := &it.threads[tid]
-	instrs := it.prog.Threads[tid].Instrs
-	if ts.pc < 0 || ts.pc >= len(instrs) || !instrs[ts.pc].Op.IsMemory() {
+	in := it.prog.Threads[tid].Instrs[it.threads[tid].pc]
+	if !in.Op.IsMemory() {
 		return 0, 0, false
 	}
-	in := instrs[ts.pc]
 	return in.Addr, in.Op.MemKind(), true
 }
 
-// advance runs thread tid through local (register-only) instructions
-// until it either halts or is positioned at a memory instruction. It
-// errors on local infinite loops.
+// advance runs thread tid's register-only run (program.Thread.RunLocal)
+// up to its next memory instruction or its halt. A run that overruns
+// the local-step bound leaves the thread at a local instruction, where
+// every later Step fails with the same error.
 func (it *Interp) advance(tid int) error {
 	ts := &it.threads[tid]
-	instrs := it.prog.Threads[tid].Instrs
-	for local := 0; ; local++ {
-		if local > DefaultMaxLocalSteps {
-			return fmt.Errorf("ideal: thread %d exceeded %d local steps (infinite local loop?)", tid, DefaultMaxLocalSteps)
-		}
-		if ts.pc < 0 || ts.pc >= len(instrs) {
-			ts.halted = true
-			return nil
-		}
-		in := instrs[ts.pc]
-		if in.Op.IsMemory() {
-			return nil
-		}
-		if ts.pc, ts.halted = in.ExecLocal(&ts.regs, ts.pc); ts.halted {
-			return nil
-		}
+	var err error
+	if ts.pc, ts.halted, err = it.prog.Threads[tid].RunLocal(&ts.regs, ts.pc); err != nil {
+		return localLoop(tid)
 	}
+	return nil
 }
 
-// Step advances thread tid by one memory operation: the thread is always
+// localLoop is the error of thread tid's overrunning local run.
+func localLoop(tid int) error {
+	return fmt.Errorf("ideal: thread %d %w", tid, program.ErrLocalLoop)
+}
+
+// Step advances thread tid by one memory operation: the thread is
 // positioned at a memory instruction (advance runs local instructions
-// eagerly), so Step executes that operation atomically, appends it to the
-// trace, runs the thread forward to its next memory instruction or halt,
-// and returns the operation. ok is false only when the thread halted with
-// no memory operation pending (possible if a prior advance failed). Step
-// returns an error for local infinite loops, memory-op budget exhaustion
-// (ErrTruncated), or stepping a halted thread.
-func (it *Interp) Step(tid int) (op mem.Op, ok bool, err error) {
+// eagerly), so Step executes that operation atomically, appends it to
+// the trace, runs the thread forward to its next memory instruction or
+// halt, and returns the operation. Step returns an error for a local
+// run that overran the bound (program.ErrLocalLoop, before this step or
+// after it), memory-op budget exhaustion (ErrTruncated), or stepping a
+// halted thread.
+func (it *Interp) Step(tid int) (mem.Op, error) {
 	if tid < 0 || tid >= len(it.threads) {
-		return mem.Op{}, false, fmt.Errorf("ideal: no thread %d", tid)
+		return mem.Op{}, fmt.Errorf("ideal: no thread %d", tid)
 	}
 	ts := &it.threads[tid]
 	if ts.halted {
-		return mem.Op{}, false, fmt.Errorf("ideal: thread %d already halted", tid)
+		return mem.Op{}, fmt.Errorf("ideal: thread %d already halted", tid)
 	}
-	instrs := it.prog.Threads[tid].Instrs
-	if ts.pc < 0 || ts.pc >= len(instrs) || !instrs[ts.pc].Op.IsMemory() {
-		// Leading local instructions were not yet run (advance error in
-		// New is deferred to here) — run them now.
-		if err := it.advance(tid); err != nil {
-			return mem.Op{}, false, err
-		}
-		if ts.halted {
-			return mem.Op{}, false, nil
-		}
+	in := it.prog.Threads[tid].Instrs[ts.pc]
+	if !in.Op.IsMemory() {
+		return mem.Op{}, localLoop(tid)
 	}
-	in := instrs[ts.pc]
 	if ts.nextIx >= it.cfg.maxMemOps() {
-		return mem.Op{}, false, ErrTruncated
+		return mem.Op{}, ErrTruncated
 	}
-	op = it.execMem(tid, ts, in, it.lay.slots[tid][ts.pc])
+	op := it.execMem(tid, ts, in, it.lay.slots[tid][ts.pc])
 	ts.pc++
 	it.trace = append(it.trace, op)
-	if err := it.advance(tid); err != nil {
-		return op, true, err
-	}
-	return op, true, nil
+	return op, it.advance(tid)
 }
 
 // execMem atomically executes a memory instruction against the idealized

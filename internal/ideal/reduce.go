@@ -92,8 +92,8 @@ func (r *reducer) explore(it *Interp, sleep uint64, reads [][]byte) error {
 			continue
 		}
 		child := r.ar.clone(it)
-		op, ok, err := child.Step(tid)
-		if err == nil && ok && r.cfg.contradicts(op) {
+		op, err := child.Step(tid)
+		if err == nil && r.cfg.contradicts(op) {
 			// Until a conflicting write wakes tid, its pending read
 			// returns the same contradicting value in every sibling.
 			r.ar.release(child)
@@ -121,15 +121,11 @@ func (r *reducer) explore(it *Interp, sleep uint64, reads [][]byte) error {
 		if r.memo == nil {
 			err = r.explore(child, 0, nil)
 		} else {
-			childSleep := sleep
 			childReads := r.ar.readLogs(reads)
-			if ok {
-				childSleep = r.filterSleep(it, sleep, op)
-				if op.HasReadComponent() && r.cfg.Observed == nil {
-					childReads[tid] = appendVarint(childReads[tid], int64(op.Got))
-				}
+			if op.HasReadComponent() && r.cfg.Observed == nil {
+				childReads[tid] = appendVarint(childReads[tid], int64(op.Got))
 			}
-			err = r.explore(child, childSleep, childReads)
+			err = r.explore(child, r.filterSleep(it, sleep, op), childReads)
 			r.ar.releaseReadLogs(childReads)
 		}
 		r.ar.release(child)

@@ -186,9 +186,9 @@ type Instr struct {
 // ExecLocal executes a register-only instruction against regs and
 // returns the next pc, or halted when the instruction is OpHalt. It is
 // the one definition of local semantics shared by the idealized
-// interpreter, the simulated processor and the saturation replay. Fences
-// are no-ops here: ordering is the caller's concern. It panics on memory
-// opcodes.
+// interpreter, the simulated processor, the saturation replay and the
+// axiomatic run enumerator. Fences are no-ops here: ordering is the
+// caller's concern. It panics on memory opcodes.
 func (in Instr) ExecLocal(regs *RegFile, pc int) (next int, halted bool) {
 	taken := false
 	switch in.Op {
@@ -239,6 +239,41 @@ func (in Instr) WriteValue(regs *RegFile) mem.Value {
 		return regs[in.Rs]
 	}
 	return 0
+}
+
+// ReadRegs returns the registers the instruction reads, in the order
+// its semantics read them: Rs then Rt for add, sub and a branch on two
+// registers; Rs alone for addi, mov, a branch on an immediate, and a
+// store or swap of a register. An executor that tracks which registers
+// hold a value not yet known checks these before running the
+// instruction.
+func (in Instr) ReadRegs() (regs [2]Reg, n int) {
+	switch in.Op {
+	case OpAdd, OpSub:
+		return [2]Reg{in.Rs, in.Rt}, 2
+	case OpBeq, OpBne, OpBlt, OpBge:
+		if !in.UseImm {
+			return [2]Reg{in.Rs, in.Rt}, 2
+		}
+		return [2]Reg{in.Rs}, 1
+	case OpAddImm, OpMov:
+		return [2]Reg{in.Rs}, 1
+	case OpStore, OpSyncStore, OpSwap:
+		if !in.UseImm {
+			return [2]Reg{in.Rs}, 1
+		}
+	}
+	return regs, 0
+}
+
+// LocalDest returns the register a register-only instruction writes: Rd
+// for li, mov, add, addi and sub. ok is false for every other opcode.
+func (in Instr) LocalDest() (rd Reg, ok bool) {
+	switch in.Op {
+	case OpLoadImm, OpMov, OpAdd, OpAddImm, OpSub:
+		return in.Rd, true
+	}
+	return 0, false
 }
 
 // operand2 is a branch's second comparand: Imm when UseImm, else Rt.
@@ -294,6 +329,40 @@ type Thread struct {
 	// Instrs is the instruction sequence; control starts at index 0 and
 	// the thread terminates on OpHalt or by running off the end.
 	Instrs []Instr
+}
+
+// MaxLocalSteps bounds a register-only run: the local instructions a
+// thread executes in a row, before its first memory operation, between
+// two, or after its last. A longer run is taken for an infinite local
+// loop. The idealized interpreter, the saturation replay, the axiomatic
+// run enumerator and the simulated processor all bound their runs by it.
+const MaxLocalSteps = 10_000
+
+// ErrLocalLoop reports a register-only run longer than MaxLocalSteps.
+var ErrLocalLoop = fmt.Errorf("exceeded %d local steps (infinite local loop?)", MaxLocalSteps)
+
+// RunLocal runs the thread's register-only instructions from pc against
+// regs, until it reaches a memory instruction or halts (OpHalt, or pc
+// past the last instruction), and returns that pc. It is the one
+// register-only run of the idealized interpreter and the saturation
+// replay. The run's MaxLocalSteps+1st instruction fails it with
+// ErrLocalLoop, unexecuted, and next is that instruction's pc.
+func (t *Thread) RunLocal(regs *RegFile, pc int) (next int, halted bool, err error) {
+	for steps := 0; ; steps++ {
+		if pc < 0 || pc >= len(t.Instrs) {
+			return pc, true, nil
+		}
+		in := t.Instrs[pc]
+		if in.Op.IsMemory() {
+			return pc, false, nil
+		}
+		if steps == MaxLocalSteps {
+			return pc, false, ErrLocalLoop
+		}
+		if pc, halted = in.ExecLocal(regs, pc); halted {
+			return pc, true, nil
+		}
+	}
 }
 
 // MemOps counts the static memory instructions in the thread.

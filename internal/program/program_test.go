@@ -1,6 +1,7 @@
 package program
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -267,4 +268,96 @@ func TestExecLocalAndWriteValue(t *testing.T) {
 		}
 	}()
 	Instr{Op: OpLoad}.ExecLocal(&regs, 0)
+}
+
+// TestRunLocalBound: a register-only run may take MaxLocalSteps
+// instructions; its next local instruction fails it with ErrLocalLoop,
+// unexecuted. The count restarts at every memory instruction.
+func TestRunLocalBound(t *testing.T) {
+	nops := func(n int, then func(*ThreadBuilder)) *Thread {
+		b := NewBuilder("nops")
+		th := b.Thread()
+		for i := 0; i < n; i++ {
+			th.Nop()
+		}
+		then(th)
+		return &b.MustBuild().Threads[0]
+	}
+	x := mem.Addr(0)
+	store := func(th *ThreadBuilder) { th.StoreImm(x, 1) }
+	for _, tc := range []struct {
+		name   string
+		th     *Thread
+		next   int
+		halted bool
+		err    error
+	}{
+		{"bound then store", nops(MaxLocalSteps, store), MaxLocalSteps, false, nil},
+		{"bound then end", nops(MaxLocalSteps, func(*ThreadBuilder) {}), MaxLocalSteps, true, nil},
+		{"over then store", nops(MaxLocalSteps+1, store), MaxLocalSteps, false, ErrLocalLoop},
+		{"bound then halt", nops(MaxLocalSteps, func(th *ThreadBuilder) { th.Halt() }), MaxLocalSteps, false, ErrLocalLoop},
+		{"under then halt", nops(MaxLocalSteps-1, func(th *ThreadBuilder) { th.Halt() }), MaxLocalSteps - 1, true, nil},
+	} {
+		var regs RegFile
+		next, halted, err := tc.th.RunLocal(&regs, 0)
+		if next != tc.next || halted != tc.halted || err != tc.err {
+			t.Errorf("%s: (%d, %v, %v), want (%d, %v, %v)", tc.name, next, halted, err, tc.next, tc.halted, tc.err)
+		}
+	}
+	// Two bound-long runs separated by a store.
+	b := NewBuilder("two-runs")
+	th := b.Thread()
+	for run := 0; run < 2; run++ {
+		for i := 0; i < MaxLocalSteps; i++ {
+			th.AddImm(R1, R1, 1)
+		}
+		th.StoreImm(x, 1)
+	}
+	two := &b.MustBuild().Threads[0]
+	var regs RegFile
+	pc, halted, err := two.RunLocal(&regs, 0)
+	if pc != MaxLocalSteps || halted || err != nil {
+		t.Fatalf("first run: (%d, %v, %v)", pc, halted, err)
+	}
+	if pc, halted, err = two.RunLocal(&regs, pc+1); pc != 2*MaxLocalSteps+1 || halted || err != nil || regs[R1] != 2*MaxLocalSteps {
+		t.Errorf("second run: (%d, %v, %v), r1 = %d", pc, halted, err, regs[R1])
+	}
+	if got := ErrLocalLoop.Error(); got != "exceeded 10000 local steps (infinite local loop?)" {
+		t.Errorf("ErrLocalLoop = %q", got)
+	}
+}
+
+// TestRegisterFacts: ReadRegs lists what an instruction's semantics
+// read, in order, and LocalDest what a register-only instruction
+// writes.
+func TestRegisterFacts(t *testing.T) {
+	for _, tc := range []struct {
+		in    Instr
+		reads []Reg
+		dest  Reg
+		dests bool
+	}{
+		{Instr{Op: OpAdd, Rd: R1, Rs: R2, Rt: R3}, []Reg{R2, R3}, R1, true},
+		{Instr{Op: OpSub, Rd: R1, Rs: R3, Rt: R2}, []Reg{R3, R2}, R1, true},
+		{Instr{Op: OpAddImm, Rd: R1, Rs: R4}, []Reg{R4}, R1, true},
+		{Instr{Op: OpMov, Rd: R5, Rs: R6}, []Reg{R6}, R5, true},
+		{Instr{Op: OpLoadImm, Rd: R7}, nil, R7, true},
+		{Instr{Op: OpBne, Rs: R1, Rt: R2}, []Reg{R1, R2}, 0, false},
+		{Instr{Op: OpBge, Rs: R1, Rt: R2, UseImm: true}, []Reg{R1}, 0, false},
+		{Instr{Op: OpJmp, Rs: R1}, nil, 0, false},
+		{Instr{Op: OpStore, Rs: R3}, []Reg{R3}, 0, false},
+		{Instr{Op: OpSyncStore, Rs: R3, UseImm: true}, nil, 0, false},
+		{Instr{Op: OpSwap, Rd: R1, Rs: R2}, []Reg{R2}, 0, false},
+		{Instr{Op: OpTAS, Rd: R1}, nil, 0, false},
+		{Instr{Op: OpLoad, Rd: R1}, nil, 0, false},
+		{Instr{Op: OpFence}, nil, 0, false},
+	} {
+		regs, n := tc.in.ReadRegs()
+		if !slices.Equal(regs[:n], tc.reads) {
+			t.Errorf("%v: reads %v, want %v", tc.in, regs[:n], tc.reads)
+		}
+		if rd, ok := tc.in.LocalDest(); rd != tc.dest || ok != tc.dests {
+			t.Errorf("%v: LocalDest = (%v, %v), want (%v, %v)", tc.in, rd, ok, tc.dest, tc.dests)
+		}
+	}
 }

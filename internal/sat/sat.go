@@ -133,12 +133,9 @@ type Config struct {
 // state budget, while saturation decides it in milliseconds.
 const DefaultMaxEvents = 4096
 
-// maxLocalSteps bounds register-only instructions between memory
-// operations during replay, mirroring ideal.DefaultMaxLocalSteps.
-const maxLocalSteps = 10_000
-
-// cancelPollMask: replay polls Cancel every 256 local steps, matching
-// the ideal/scmatch convention.
+// cancelPollMask: replay polls Cancel every 256 memory operations,
+// matching the ideal/scmatch convention. The register-only run between
+// two polls is bounded by program.MaxLocalSteps.
 const cancelPollMask = 255
 
 // Decision is the outcome of Decide.
@@ -188,11 +185,11 @@ func Decide(p *program.Program, res mem.Result, cfg Config) Decision {
 
 // replay reconstructs the per-thread dynamic operation sequences the
 // result dictates. It runs the interpreter's instruction semantics
-// (program.Instr's ExecLocal and WriteValue, register zero-init,
-// per-thread memory-op indices counting every memory operation) but
-// reads return observed values instead of memory contents. ok is false
-// when replay itself decided (or fell back); the Decision is then
-// meaningful.
+// (program.Thread's RunLocal, program.Instr's WriteValue, register
+// zero-init, per-thread memory-op indices counting every memory
+// operation) but reads return observed values instead of memory
+// contents. ok is false when replay itself decided (or fell back); the
+// Decision is then meaningful.
 func replay(p *program.Program, res mem.Result, cfg Config) ([]event, Decision, bool) {
 	// Slot 0 is the init pseudo-write. The capacity guesses one write
 	// per read.
@@ -200,31 +197,22 @@ func replay(p *program.Program, res mem.Result, cfg Config) ([]event, Decision, 
 	events[0] = event{proc: mem.InitProc, kind: mem.Write}
 	consumed := 0
 	for tid := range p.Threads {
-		instrs := p.Threads[tid].Instrs
+		th := &p.Threads[tid]
 		var regs program.RegFile
-		// steps counts every instruction, for the cancel poll; local
-		// counts the register-only run since the last memory operation.
-		pc, nextIx, steps, local := 0, 0, 0, 0
+		pc, nextIx := 0, 0
 		for {
-			steps++
-			if cfg.Cancel != nil && steps&cancelPollMask == 0 && cfg.Cancel() {
+			next, halted, err := th.RunLocal(&regs, pc)
+			if err != nil {
+				return nil, Decision{Verdict: Fallback, Reason: ReasonReplayBudget}, false
+			}
+			if halted {
+				break
+			}
+			pc = next
+			if cfg.Cancel != nil && len(events)&cancelPollMask == 0 && cfg.Cancel() {
 				return nil, Decision{Verdict: Fallback, Reason: ReasonCanceled}, false
 			}
-			if pc < 0 || pc >= len(instrs) {
-				break // ran off the end: halt
-			}
-			in := instrs[pc]
-			if !in.Op.IsMemory() {
-				if local++; local > maxLocalSteps {
-					return nil, Decision{Verdict: Fallback, Reason: ReasonReplayBudget}, false
-				}
-				var halted bool
-				if pc, halted = in.ExecLocal(&regs, pc); halted {
-					break
-				}
-				continue
-			}
-			local = 0
+			in := th.Instrs[pc]
 			if len(events) >= cfg.maxEvents() {
 				return nil, Decision{Verdict: Fallback, Reason: ReasonTooLarge}, false
 			}
@@ -239,8 +227,6 @@ func replay(p *program.Program, res mem.Result, cfg Config) ([]event, Decision, 
 				}
 				consumed++
 				ev.got = obs.Value
-			}
-			if ev.reads() {
 				regs[in.Rd] = ev.got
 			}
 			events = append(events, ev)

@@ -229,10 +229,10 @@ func TestDecideRMWAtomicity(t *testing.T) {
 	}
 }
 
-// TestDecideReplayBudgetPerGap: the replay's local-step budget bounds
-// each register-only run between memory operations, as
-// ideal.Config.MaxLocalSteps does, not the thread's whole instruction
-// count. A thread storing 1,700 times with six register-only
+// TestDecideReplayBudgetPerGap: the replay's local-step budget,
+// program.MaxLocalSteps, bounds each register-only run between memory
+// operations (program.Thread.RunLocal's count), not the thread's whole
+// instruction count. A thread storing 1,700 times with six register-only
 // instructions per iteration runs about 11,900 instructions but never
 // more than six in a row; its SC result must be decided. A
 // register-only loop that never reaches memory still falls back.

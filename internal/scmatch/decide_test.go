@@ -126,8 +126,8 @@ func TestDecideFallsBackToSearch(t *testing.T) {
 // on ends up: for one query per fallback reason the production Decide
 // can reach, Decide reports Sat false, names the reason, and answers
 // exactly the (OK, err) that Matches answers for the same query. The
-// replay-budget query also overruns the interpreter's local-step bound,
-// so both return that error, which is neither ErrBudget nor
+// two replay-budget queries also overrun the interpreter's local-step
+// bound, so both return that error, which is neither ErrBudget nor
 // ErrCanceled. sat.ReasonWitness is not listed: it guards a witness
 // built from a full resolution, is documented as unreachable, and no
 // query is known to reach it. A canceled query returns ErrCanceled
@@ -155,9 +155,9 @@ func TestDecideFallbackReasons(t *testing.T) {
 	th.BltImm(program.R1, 4100, "top")
 	large := b.MustBuild()
 
-	// 12,000 register-only steps between two stores. The loop follows
-	// a store because the interpreter restarts a thread's leading
-	// local run with a fresh count on its first step.
+	// 12,000 register-only steps between two stores, and 12,001
+	// before a thread's first store. The bound is the same for a run
+	// that leads a thread as for one that follows a memory operation.
 	b = program.NewBuilder("replay-budget")
 	z := b.Var("z")
 	th = b.Thread()
@@ -167,6 +167,16 @@ func TestDecideFallbackReasons(t *testing.T) {
 	th.BltImm(program.R1, 6000, "spin")
 	th.StoreImm(z, 1)
 	spin := b.MustBuild()
+
+	b = program.NewBuilder("replay-budget-leading")
+	z = b.Var("z")
+	th = b.Thread()
+	th.LoadImm(program.R1, 6000)
+	th.Label("spin")
+	th.AddImm(program.R1, program.R1, -1)
+	th.BneImm(program.R1, 0, "spin")
+	th.StoreImm(z, 1)
+	leading := b.MustBuild()
 
 	noReads := map[mem.OpID]mem.ReadObservation{}
 	for _, tc := range []struct {
@@ -183,6 +193,7 @@ func TestDecideFallbackReasons(t *testing.T) {
 		{sat.ReasonCoIncomplete, unordered, mem.Result{Reads: noReads, Final: map[mem.Addr]mem.Value{x: 1}}},
 		{sat.ReasonTooLarge, large, mem.Result{Reads: noReads, Final: map[mem.Addr]mem.Value{y: 4099}}},
 		{sat.ReasonReplayBudget, spin, mem.Result{Reads: noReads, Final: map[mem.Addr]mem.Value{z: 1}}},
+		{sat.ReasonReplayBudget, leading, mem.Result{Reads: noReads, Final: map[mem.Addr]mem.Value{z: 1}}},
 	} {
 		d, derr := Decide(tc.p, tc.r, Config{})
 		m, merr := Matches(tc.p, tc.r, Config{})
