@@ -19,7 +19,7 @@ import (
 // would not reproduce — is rejected on resume instead of silently
 // merged. Bump it whenever generators, oracles, shrinking, or the
 // progOutcome encoding change observable results.
-const journalCodeHash = "check-v15" // v15: one local-step count, restarted at each memory operation
+const journalCodeHash = "check-v16" // v16: a local-loop classify error is a recorded skip
 
 // journalMagic identifies the file format, independent of campaign
 // identity.

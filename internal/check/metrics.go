@@ -42,10 +42,10 @@ func (s *Summary) Metrics() *metrics.Snapshot {
 	}
 
 	// Robustness counters: recovered worker panics, per-check deadline
-	// skips, and every skip (budget or deadline) broken down by the stage
-	// that overran. The per-stage series carry the stage as a Prometheus
-	// label (weakorder_check_skips_total{stage="oracle"}) instead of
-	// minting a new metric name per stage.
+	// skips, and every skip (budget, local-loop or deadline) broken down
+	// by the stage that overran. The per-stage series carry the stage as
+	// a Prometheus label (weakorder_check_skips_total{stage="oracle"})
+	// instead of minting a new metric name per stage.
 	r.SetCounter("check.panic.recovered", uint64(s.WorkerPanics))
 	r.SetCounter("check.deadline.skips", uint64(s.DeadlineSkips))
 	byStage := make(map[string]int)

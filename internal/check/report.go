@@ -133,10 +133,11 @@ type ViolationReport struct {
 // SkipRecord logs one check that stopped undecided: a simulation's
 // appears-SC decision (stage "oracle") or the program's DRF
 // classification (stage "classify", recorded with a zero config and
-// seed) overran its search budget or its per-check wall-clock deadline
-// (CampaignConfig.CheckDeadline). An undecided check is recorded here
-// instead of counting as a pass; an oracle skip adjudicates nothing,
-// and a classify skip leaves the program racy (coverage only).
+// seed) overran its search budget, the local-step bound or its
+// per-check wall-clock deadline (CampaignConfig.CheckDeadline). An
+// undecided check is recorded here instead of counting as a pass; an
+// oracle skip adjudicates nothing, and a classify skip leaves the
+// program racy (coverage only).
 type SkipRecord struct {
 	ProgramIndex int        `json:"programIndex"`
 	Config       ConfigDesc `json:"config"`
@@ -144,8 +145,9 @@ type SkipRecord struct {
 	// Stage names the abandoned computation: "oracle" or "classify".
 	Stage string `json:"stage"`
 	// Reason names the overrun: "budget" (the search exhausted its state
-	// or path budget; deterministic) or "deadline" (host-speed
-	// dependent).
+	// or path budget; deterministic), "local-loop" (a thread ran
+	// program.MaxLocalSteps register-only instructions in a row;
+	// deterministic) or "deadline" (host-speed dependent).
 	Reason string `json:"reason"`
 }
 

@@ -177,3 +177,26 @@ func TestCorpusKeepsEveryViolation(t *testing.T) {
 		t.Fatalf("corpus entries %v, want one per violation %v", got, want)
 	}
 }
+
+// TestClassifyLocalLoopIsSkip: a DRF0 check that stops on a thread's
+// local-step bound is undecided, so classify names it. P0 reads x, which
+// nothing writes, and then spins on the register forever.
+func TestClassifyLocalLoopIsSkip(t *testing.T) {
+	p := mustParse(t, `program local-loop
+init x=0 y=0
+
+thread P0 {
+  ld r1, x
+loop:
+  beq r1, #0, loop
+}
+
+thread P1 {
+  st y, #1
+}
+`)
+	class, skip := testCampaign(CampaignConfig{}).classify(p)
+	if class != ClassRacy || skip != "local-loop" {
+		t.Errorf("classify = (%q, %q), want (%q, %q)", class, skip, ClassRacy, "local-loop")
+	}
+}
