@@ -11,6 +11,7 @@ package weakorder_test
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 	"testing"
 
@@ -584,9 +585,11 @@ func BenchmarkSatFastPath(b *testing.B) {
 	})
 }
 
-// satQuery is one appears-SC question of a campaign.
+// satQuery is one appears-SC question of a campaign, with the
+// execution whose result it asks about.
 type satQuery struct {
 	prog *program.Program
+	exec *mem.Execution
 	res  mem.Result
 }
 
@@ -595,8 +598,8 @@ type satQuery struct {
 // and WO-Def2 on bus and network; two machine seeds per row. It returns
 // each program's distinct observed results in the order the campaign's
 // verdict memo first sees them. The fault hook sees every result just
-// before the campaign keys it; pooled results alias machine buffers, so
-// each kept result is copied.
+// before the campaign keys it; pooled executions alias machine buffers,
+// so each kept execution and result is copied.
 var campaignQueries = sync.OnceValues(func() ([]satQuery, error) {
 	var (
 		out  []satQuery
@@ -615,8 +618,8 @@ var campaignQueries = sync.OnceValues(func() ([]satQuery, error) {
 			}
 			if k := res.Result.Key(); !seen[k] {
 				seen[k] = true
-				r := mem.Result{Reads: maps.Clone(res.Result.Reads), Final: maps.Clone(res.Result.Final)}
-				out = append(out, satQuery{prog: p, res: r})
+				r := mem.Result{Reads: slices.Clone(res.Result.Reads), Final: maps.Clone(res.Result.Final)}
+				out = append(out, satQuery{prog: p, exec: res.Exec.Clone(), res: r})
 			}
 		},
 	})
@@ -767,4 +770,23 @@ func BenchmarkResultKey(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(qs)), "keys/op")
+}
+
+// BenchmarkResultOf extracts and keys the result of every execution of
+// campaignQueries per op: what the campaign pays per simulation, which
+// BenchmarkResultKey leaves out by keying results already built.
+func BenchmarkResultOf(b *testing.B) {
+	qs, err := campaignQueries()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range qs {
+			if mem.ResultOf(q.exec).Key() == "" {
+				b.Fatal("empty key")
+			}
+		}
+	}
+	b.ReportMetric(float64(len(qs)), "results/op")
 }

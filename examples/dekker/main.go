@@ -65,8 +65,8 @@ func main() {
 						log.Fatal(err)
 					}
 					// The forbidden outcome: both loads returned zero.
-					r0 := res.Result.Reads[weakorder.OpID{Proc: 0, Index: 1}]
-					r1 := res.Result.Reads[weakorder.OpID{Proc: 1, Index: 1}]
+					r0, _ := res.Result.Read(weakorder.OpID{Proc: 0, Index: 1})
+					r1, _ := res.Result.Read(weakorder.OpID{Proc: 1, Index: 1})
 					if r0.Value == 0 && r1.Value == 0 {
 						violations++
 					}

@@ -44,7 +44,7 @@ func storeBuffering(fenced bool) *program.Program {
 // read with the given id.
 func hasOutcome(outs map[string]mem.Result, id mem.OpID, v mem.Value) bool {
 	for _, r := range outs {
-		if obs, ok := r.Reads[id]; ok && obs.Value == v {
+		if obs, ok := r.Read(id); ok && obs.Value == v {
 			_ = obs
 			// Require the symmetric read too when present is the
 			// caller's business; here one read suffices.

@@ -591,21 +591,18 @@ func (s *searcher) leaf() error {
 // value (pinned, or its rf source's data) and the coherence-final value
 // per address.
 func (s *searcher) outcome() mem.Result {
-	res := mem.Result{
-		Reads: make(map[mem.OpID]mem.ReadObservation, len(s.sk.reads)),
-		Final: make(map[mem.Addr]mem.Value, len(s.coOrder)),
-	}
+	reads := make([]mem.ReadObservation, len(s.sk.reads))
 	for k, r := range s.sk.reads {
 		ev := &s.sk.events[r]
 		v := ev.got
 		if !ev.pinned {
 			v = s.sk.events[s.rfSrc[k]].data
 		}
-		id := mem.OpID{Proc: ev.proc, Index: ev.index}
-		res.Reads[id] = mem.ReadObservation{ID: id, Addr: ev.addr, Value: v}
+		reads[k] = mem.ReadObservation{ID: mem.OpID{Proc: ev.proc, Index: ev.index}, Addr: ev.addr, Value: v}
 	}
+	final := make(map[mem.Addr]mem.Value, len(s.coOrder))
 	for a, order := range s.coOrder {
-		res.Final[a] = s.sk.events[order[len(order)-1]].data
+		final[a] = s.sk.events[order[len(order)-1]].data
 	}
-	return res
+	return mem.NewResult(reads, final)
 }

@@ -2,7 +2,7 @@ package check
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 
@@ -68,7 +68,7 @@ func matchVerdict(t *testing.T, p *program.Program, r mem.Result, naive bool) (o
 			Interp:        interp,
 			MaxPaths:      oracleMatchMaxStates,
 			SkipTruncated: true,
-			Observed:      r.Reads,
+			Observed:      &r,
 		}, func(it *ideal.Interp) error {
 			if !mem.ResultOf(it.Execution()).Equal(r) {
 				return nil
@@ -93,22 +93,10 @@ func matchVerdict(t *testing.T, p *program.Program, r mem.Result, naive bool) (o
 // corrupt returns a copy of r with one read observation perturbed, so
 // the Matches differential also covers the not-SC path.
 func corrupt(r mem.Result) mem.Result {
-	out := mem.Result{
-		Reads: make(map[mem.OpID]mem.ReadObservation, len(r.Reads)),
-		Final: r.Final,
+	out := mem.Result{Reads: slices.Clone(r.Reads), Final: r.Final}
+	if len(out.Reads) > 0 {
+		out.Reads[0].Value += 1000
 	}
-	ids := make([]mem.OpID, 0, len(r.Reads))
-	for id, obs := range r.Reads {
-		out.Reads[id] = obs
-		ids = append(ids, id)
-	}
-	if len(ids) == 0 {
-		return out
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-	obs := out.Reads[ids[0]]
-	obs.Value += 1000
-	out.Reads[ids[0]] = obs
 	return out
 }
 

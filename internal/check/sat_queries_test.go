@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"maps"
+	"slices"
 	"testing"
 
 	"weakorder/internal/cache"
@@ -42,7 +43,7 @@ func campaignQueries(t testing.TB, cfg CampaignConfig) []satQuery {
 			return
 		}
 		seen[k] = true
-		r := mem.Result{Reads: maps.Clone(res.Result.Reads), Final: maps.Clone(res.Result.Final)}
+		r := mem.Result{Reads: slices.Clone(res.Result.Reads), Final: maps.Clone(res.Result.Final)}
 		out = append(out, satQuery{p: p, res: r})
 	}
 	if _, err := Run(cfg); err != nil {

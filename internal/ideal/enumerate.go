@@ -48,15 +48,16 @@ type EnumConfig struct {
 	PreserveSyncOrder bool
 	// Observed, when non-nil, restricts the walk to executions whose
 	// every read returns its observed value: a step whose read is
-	// missing from Observed, or returns another address or value, is
-	// dropped, and so is every interleaving through it. Dropped steps
+	// missing from Observed.Reads, or returns another address or value,
+	// is dropped, and so is every interleaving through it. A result
+	// with no reads filters too: it drops every read. Dropped steps
 	// are not counted in Steps, so MaxPaths bounds the steps taken.
 	// Under Reduce the dropped thread sleeps for the remaining siblings:
 	// its pending read returns the same value there until a conflicting
 	// write wakes it. This is Lemma 1's question — does some idealized
 	// execution produce the observed reads? — asked of the enumerator;
 	// the visitor compares the final memory.
-	Observed map[mem.OpID]mem.ReadObservation
+	Observed *mem.Result
 }
 
 // maxTraceHint caps Enumerate's up-front trace capacity; a longer path
@@ -85,7 +86,7 @@ func (cfg *EnumConfig) contradicts(op mem.Op) bool {
 	if cfg.Observed == nil || !op.HasReadComponent() {
 		return false
 	}
-	obs, ok := cfg.Observed[op.ID()]
+	obs, ok := cfg.Observed.Read(op.ID())
 	return !ok || obs.Addr != op.Addr || obs.Value != op.Got
 }
 

@@ -201,15 +201,9 @@ func initEqual(a, b *program.Program) error {
 // symbolicKey is mem.Result.Key with addresses replaced by their symbol
 // names, so results of address-renamed programs compare equal.
 func symbolicKey(p *program.Program, r mem.Result) string {
-	ids := make([]mem.OpID, 0, len(r.Reads))
-	for id := range r.Reads {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
 	var sb strings.Builder
-	for _, id := range ids {
-		obs := r.Reads[id]
-		fmt.Fprintf(&sb, "%s[%s]=%d;", id, locName(p, obs.Addr), obs.Value)
+	for _, obs := range r.Reads {
+		fmt.Fprintf(&sb, "%s[%s]=%d;", obs.ID, locName(p, obs.Addr), obs.Value)
 	}
 	sb.WriteByte('|')
 	finals := make([]string, 0, len(r.Final))

@@ -37,8 +37,8 @@ func MP2() *program.Program {
 
 // MP2Forbidden reports the stale-data outcome.
 func MP2Forbidden(r mem.Result) bool {
-	return r.Reads[mem.OpID{Proc: 1, Index: 0}].Value == 1 &&
-		r.Reads[mem.OpID{Proc: 1, Index: 1}].Value == 0
+	return got(r, 1, 0) == 1 &&
+		got(r, 1, 1) == 0
 }
 
 // S is the S shape:
@@ -58,7 +58,7 @@ func S() *program.Program {
 
 // SForbidden reports the forbidden S outcome.
 func SForbidden(r mem.Result) bool {
-	return r.Reads[mem.OpID{Proc: 1, Index: 0}].Value == 1 && r.Final[0] == 2
+	return got(r, 1, 0) == 1 && r.Final[0] == 2
 }
 
 // R is the R shape:
@@ -78,7 +78,7 @@ func R() *program.Program {
 
 // RForbidden reports the forbidden R outcome.
 func RForbidden(r mem.Result) bool {
-	return r.Final[1] == 2 && r.Reads[mem.OpID{Proc: 1, Index: 1}].Value == 0
+	return r.Final[1] == 2 && got(r, 1, 1) == 0
 }
 
 // TwoPlusTwoW is 2+2W:
@@ -122,9 +122,9 @@ func WRC() *program.Program {
 
 // WRCForbidden reports the broken-causality outcome.
 func WRCForbidden(r mem.Result) bool {
-	return r.Reads[mem.OpID{Proc: 1, Index: 0}].Value == 1 &&
-		r.Reads[mem.OpID{Proc: 2, Index: 0}].Value == 1 &&
-		r.Reads[mem.OpID{Proc: 2, Index: 1}].Value == 0
+	return got(r, 1, 0) == 1 &&
+		got(r, 2, 0) == 1 &&
+		got(r, 2, 1) == 0
 }
 
 // RWC is read-to-write causality:
@@ -148,9 +148,9 @@ func RWC() *program.Program {
 
 // RWCForbidden reports the forbidden RWC outcome.
 func RWCForbidden(r mem.Result) bool {
-	return r.Reads[mem.OpID{Proc: 1, Index: 0}].Value == 1 &&
-		r.Reads[mem.OpID{Proc: 1, Index: 1}].Value == 0 &&
-		r.Reads[mem.OpID{Proc: 2, Index: 1}].Value == 0
+	return got(r, 1, 0) == 1 &&
+		got(r, 1, 1) == 0 &&
+		got(r, 2, 1) == 0
 }
 
 // CoRR is the coherence read-read test: two reads of one location by one
@@ -171,8 +171,8 @@ func CoRR() *program.Program {
 
 // CoRRForbidden reports the coherence violation.
 func CoRRForbidden(r mem.Result) bool {
-	return r.Reads[mem.OpID{Proc: 1, Index: 0}].Value == 1 &&
-		r.Reads[mem.OpID{Proc: 1, Index: 1}].Value == 0
+	return got(r, 1, 0) == 1 &&
+		got(r, 1, 1) == 0
 }
 
 // CoWW is the coherence write-write test: a processor's two writes to one

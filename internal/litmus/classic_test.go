@@ -36,14 +36,14 @@ func TestForbiddenOutcomesAreSCForbidden(t *testing.T) {
 func TestForbiddenOutcomesAreReachable(t *testing.T) {
 	// Handcraft one satisfying result per test.
 	mk := func(reads map[mem.OpID]mem.Value, final map[mem.Addr]mem.Value) mem.Result {
-		r := mem.Result{Reads: make(map[mem.OpID]mem.ReadObservation), Final: final}
+		obs := make([]mem.ReadObservation, 0, len(reads))
 		for id, v := range reads {
-			r.Reads[id] = mem.ReadObservation{ID: id, Value: v}
+			obs = append(obs, mem.ReadObservation{ID: id, Value: v})
 		}
-		if r.Final == nil {
-			r.Final = map[mem.Addr]mem.Value{}
+		if final == nil {
+			final = map[mem.Addr]mem.Value{}
 		}
-		return r
+		return mem.NewResult(obs, final)
 	}
 	cases := map[string]mem.Result{
 		"SB":   mk(map[mem.OpID]mem.Value{{Proc: 0, Index: 1}: 0, {Proc: 1, Index: 1}: 0}, nil),

@@ -39,9 +39,16 @@ func Dekker() *program.Program {
 // DekkerForbidden reports whether a result of Dekker exhibits the
 // sequential-consistency violation: both reads returned zero.
 func DekkerForbidden(r mem.Result) bool {
-	a, okA := r.Reads[mem.OpID{Proc: 0, Index: 1}]
-	bb, okB := r.Reads[mem.OpID{Proc: 1, Index: 1}]
+	a, okA := r.Read(mem.OpID{Proc: 0, Index: 1})
+	bb, okB := r.Read(mem.OpID{Proc: 1, Index: 1})
 	return okA && okB && a.Value == 0 && bb.Value == 0
+}
+
+// got is the value read by processor proc's operation index in r, zero
+// when r holds no such read.
+func got(r mem.Result, proc, index int) mem.Value {
+	obs, _ := r.Read(mem.OpID{Proc: proc, Index: index})
+	return obs.Value
 }
 
 // DekkerSync is Dekker with every access made a synchronization
@@ -180,10 +187,10 @@ func IRIW() *program.Program {
 // IRIWForbidden reports whether an IRIW result shows the two readers
 // observing the two writes in opposite orders.
 func IRIWForbidden(r mem.Result) bool {
-	p2x := r.Reads[mem.OpID{Proc: 2, Index: 0}].Value
-	p2y := r.Reads[mem.OpID{Proc: 2, Index: 1}].Value
-	p3y := r.Reads[mem.OpID{Proc: 3, Index: 0}].Value
-	p3x := r.Reads[mem.OpID{Proc: 3, Index: 1}].Value
+	p2x := got(r, 2, 0)
+	p2y := got(r, 2, 1)
+	p3y := got(r, 3, 0)
+	p3x := got(r, 3, 1)
 	return p2x == 1 && p2y == 0 && p3y == 1 && p3x == 0
 }
 

@@ -270,9 +270,9 @@ func TestCoherenceWriteSerialization(t *testing.T) {
 		for seed := int64(0); seed < 10; seed++ {
 			res := mustRun(t, p, cfg, seed)
 			for _, reader := range []int{1, 2} {
-				r0 := res.Result.Reads[mem.OpID{Proc: reader, Index: 0}].Value
-				r1 := res.Result.Reads[mem.OpID{Proc: reader, Index: 1}].Value
-				if r0 == 2 && r1 == 1 {
+				r0, _ := res.Result.Read(mem.OpID{Proc: reader, Index: 0})
+				r1, _ := res.Result.Read(mem.OpID{Proc: reader, Index: 1})
+				if r0.Value == 2 && r1.Value == 1 {
 					t.Errorf("%v seed %d: P%d observed x=2 then x=1 (write serialization violated)",
 						pol, seed, reader)
 				}

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -169,12 +170,8 @@ func TestResultEqualAndKey(t *testing.T) {
 // order. Keys index the campaign's verdict memo, its per-simulation
 // records and the corpus, so the bytes must not drift.
 func TestResultKeyFormat(t *testing.T) {
-	reads := func(obs ...ReadObservation) map[OpID]ReadObservation {
-		m := make(map[OpID]ReadObservation, len(obs))
-		for _, o := range obs {
-			m[o.ID] = o
-		}
-		return m
+	reads := func(obs ...ReadObservation) []ReadObservation {
+		return NewResult(obs, nil).Reads
 	}
 	at := func(proc, index int, a Addr, v Value) ReadObservation {
 		return ReadObservation{ID: OpID{Proc: proc, Index: index}, Addr: a, Value: v}
@@ -185,7 +182,7 @@ func TestResultKeyFormat(t *testing.T) {
 		want string
 	}{
 		{"empty", Result{}, "|"},
-		{"empty maps", Result{Reads: map[OpID]ReadObservation{}, Final: map[Addr]Value{}}, "|"},
+		{"empty maps", Result{Reads: []ReadObservation{}, Final: map[Addr]Value{}}, "|"},
 		{"negative values", Result{
 			Reads: reads(at(0, 0, 3, -7), at(1, 2, 4, -9223372036854775808)),
 			Final: map[Addr]Value{3: -1, 4: 9223372036854775807},
@@ -211,15 +208,15 @@ func TestResultKeyFormat(t *testing.T) {
 }
 
 func TestResultEqualZeroDefault(t *testing.T) {
-	a := Result{Reads: map[OpID]ReadObservation{}, Final: map[Addr]Value{1: 0}}
-	b := Result{Reads: map[OpID]ReadObservation{}, Final: map[Addr]Value{}}
+	a := Result{Final: map[Addr]Value{1: 0}}
+	b := Result{Final: map[Addr]Value{}}
 	if !a.Equal(b) || !b.Equal(a) {
 		t.Error("an explicit zero final value must equal an absent entry")
 	}
 	if a.Key() != b.Key() {
 		t.Error("explicit-zero and absent final entries must share a key")
 	}
-	c := Result{Reads: map[OpID]ReadObservation{}, Final: map[Addr]Value{1: 5}}
+	c := Result{Final: map[Addr]Value{1: 5}}
 	if a.Equal(c) {
 		t.Error("differing final values must not be equal")
 	}
@@ -241,7 +238,81 @@ func TestResultOfSkipsBoundaryOps(t *testing.T) {
 	if len(r.Reads) != 1 {
 		t.Fatalf("ResultOf recorded %d reads, want 1 (boundary ops excluded)", len(r.Reads))
 	}
-	if _, ok := r.Reads[OpID{Proc: 0, Index: 0}]; !ok {
+	if _, ok := r.Read(OpID{Proc: 0, Index: 0}); !ok {
 		t.Error("ResultOf must record the real processor's read")
+	}
+}
+
+// TestResultReadOrder builds a commit-order trace in which processors
+// interleave, processor 1's reads commit out of index order, and the
+// augmentation operations sit among them. ResultOf must list the reads
+// in (processor, index) order, Read must find each one and miss every
+// id that is not a read, and a hand-built result out of order must make
+// Key and Equal panic rather than answer.
+func TestResultReadOrder(t *testing.T) {
+	e := &Execution{
+		Procs: 3,
+		Ops: []Op{
+			{Proc: InitProc, Index: 0, Kind: Write, Addr: 0},
+			{Proc: 1, Index: 2, Kind: Read, Addr: 1, Got: 12},
+			{Proc: 0, Index: 0, Kind: Read, Addr: 0, Got: 1},
+			{Proc: 2, Index: 0, Kind: SyncRMW, Addr: 2, Got: 20, Data: 1},
+			{Proc: 1, Index: 0, Kind: Read, Addr: 0, Got: 10},
+			{Proc: 0, Index: 1, Kind: Write, Addr: 1, Data: 5},
+			{Proc: 1, Index: 3, Kind: SyncRead, Addr: 2, Got: 13},
+			{Proc: 0, Index: 2, Kind: Read, Addr: 2, Got: 2},
+			{Proc: 1, Index: 1, Kind: Read, Addr: 1, Got: 11},
+			{Proc: FinalProc, Index: 0, Kind: Read, Addr: 0, Got: 1},
+		},
+		Final: map[Addr]Value{0: 1, 1: 5, 2: 1},
+	}
+	at := func(proc, index int, a Addr, v Value) ReadObservation {
+		return ReadObservation{ID: OpID{Proc: proc, Index: index}, Addr: a, Value: v}
+	}
+	want := []ReadObservation{
+		at(0, 0, 0, 1), at(0, 2, 2, 2),
+		at(1, 0, 0, 10), at(1, 1, 1, 11), at(1, 2, 1, 12), at(1, 3, 2, 13),
+		at(2, 0, 2, 20),
+	}
+	r := ResultOf(e)
+	if !slices.Equal(r.Reads, want) {
+		t.Fatalf("ResultOf reads = %v, want %v", r.Reads, want)
+	}
+	for _, obs := range want {
+		if got, ok := r.Read(obs.ID); !ok || got != obs {
+			t.Errorf("Read(%v) = %v, %v; want %v, true", obs.ID, got, ok, obs)
+		}
+	}
+	for _, id := range []OpID{{0, 1}, {1, 4}, {3, 0}, {-1, 0}, {-2, 0}} {
+		if got, ok := r.Read(id); ok {
+			t.Errorf("Read(%v) = %v, want a miss", id, got)
+		}
+	}
+	rev := slices.Clone(want)
+	slices.Reverse(rev)
+	if hand := NewResult(rev, r.Final); !hand.Equal(r) || hand.Key() != r.Key() {
+		t.Error("NewResult must sort its reads into ResultOf's order")
+	}
+
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	swapped := Result{Reads: slices.Clone(want), Final: r.Final}
+	swapped.Reads[2], swapped.Reads[3] = swapped.Reads[3], swapped.Reads[2]
+	dup := Result{Reads: slices.Clone(want), Final: r.Final}
+	dup.Reads[3].ID = dup.Reads[2].ID
+	for _, bad := range []struct {
+		name string
+		r    Result
+	}{{"swapped", swapped}, {"duplicate", dup}} {
+		mustPanic(bad.name+" Key", func() { bad.r.Key() })
+		mustPanic(bad.name+" Equal", func() { bad.r.Equal(r) })
+		mustPanic(bad.name+" Equal (other side)", func() { r.Equal(bad.r) })
 	}
 }

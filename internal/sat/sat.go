@@ -190,12 +190,18 @@ func Decide(p *program.Program, res mem.Result, cfg Config) Decision {
 // operation) but reads return observed values instead of memory
 // contents. ok is false when replay itself decided (or fell back); the
 // Decision is then meaningful.
+//
+// The observations are in (processor, index) order, and the replay asks
+// for them in that order too, so one cursor walks them. It steps past
+// the observations the replay does not ask for, which stay unconsumed;
+// a read whose own observation is absent is rejected at that read.
 func replay(p *program.Program, res mem.Result, cfg Config) ([]event, Decision, bool) {
 	// Slot 0 is the init pseudo-write. The capacity guesses one write
 	// per read.
 	events := make([]event, 1, 16+2*len(res.Reads))
 	events[0] = event{proc: mem.InitProc, kind: mem.Write}
-	consumed := 0
+	obs := res.Reads
+	at, consumed := 0, 0 // obs[:at] are consumed or passed over
 	for tid := range p.Threads {
 		th := &p.Threads[tid]
 		var regs program.RegFile
@@ -221,12 +227,16 @@ func replay(p *program.Program, res mem.Result, cfg Config) ([]event, Decision, 
 			ev := event{proc: tid, index: nextIx, kind: in.Op.MemKind(), addr: in.Addr, data: in.WriteValue(&regs)}
 			nextIx++
 			if ev.reads() {
-				obs, ok := res.Reads[mem.OpID{Proc: tid, Index: ev.index}]
-				if !ok || obs.Addr != in.Addr {
+				id := mem.OpID{Proc: tid, Index: ev.index}
+				for at < len(obs) && obs[at].ID.Less(id) {
+					at++
+				}
+				if at == len(obs) || obs[at].ID != id || obs[at].Addr != in.Addr {
 					return nil, Decision{Verdict: Rejected, Reason: ReasonReplay}, false
 				}
+				ev.got = obs[at].Value
+				at++
 				consumed++
-				ev.got = obs.Value
 				regs[in.Rd] = ev.got
 			}
 			events = append(events, ev)

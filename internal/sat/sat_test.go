@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"weakorder/internal/ideal"
@@ -62,13 +63,10 @@ func TestDecideRejectsStoreBuffering(t *testing.T) {
 	p := litmus.SB()
 	x, _ := p.AddrOf("x")
 	y, _ := p.AddrOf("y")
-	forbidden := mem.Result{
-		Reads: map[mem.OpID]mem.ReadObservation{
-			{Proc: 0, Index: 1}: {ID: mem.OpID{Proc: 0, Index: 1}, Addr: y, Value: 0},
-			{Proc: 1, Index: 1}: {ID: mem.OpID{Proc: 1, Index: 1}, Addr: x, Value: 0},
-		},
-		Final: map[mem.Addr]mem.Value{x: 1, y: 1},
-	}
+	forbidden := mem.NewResult([]mem.ReadObservation{
+		{ID: mem.OpID{Proc: 0, Index: 1}, Addr: y, Value: 0},
+		{ID: mem.OpID{Proc: 1, Index: 1}, Addr: x, Value: 0},
+	}, map[mem.Addr]mem.Value{x: 1, y: 1})
 	d := Decide(p, forbidden, Config{})
 	if d.Verdict != Rejected {
 		t.Fatalf("SB forbidden outcome: got %s (%s), want rejected", d.Verdict, d.Reason)
@@ -87,25 +85,20 @@ func TestDecideReplayMismatch(t *testing.T) {
 	results := enumResults(t, p)
 	base := results[0]
 
-	missing := mem.Result{Reads: map[mem.OpID]mem.ReadObservation{}, Final: base.Final}
+	missing := mem.Result{Final: base.Final}
 	if d := Decide(p, missing, Config{}); d.Verdict != Rejected || d.Reason != ReasonReplay {
 		t.Errorf("missing observations: got %s (%s), want rejected (%s)", d.Verdict, d.Reason, ReasonReplay)
 	}
 
-	extra := mem.Result{Reads: map[mem.OpID]mem.ReadObservation{}, Final: base.Final}
-	for id, obs := range base.Reads {
-		extra.Reads[id] = obs
-	}
-	ghost := mem.OpID{Proc: 1, Index: 99}
-	extra.Reads[ghost] = mem.ReadObservation{ID: ghost, Addr: x, Value: 0}
+	ghost := mem.ReadObservation{ID: mem.OpID{Proc: 1, Index: 99}, Addr: x, Value: 0}
+	extra := mem.NewResult(append(slices.Clone(base.Reads), ghost), base.Final)
 	if d := Decide(p, extra, Config{}); d.Verdict != Rejected || d.Reason != ReasonReplay {
 		t.Errorf("extra observation: got %s (%s), want rejected (%s)", d.Verdict, d.Reason, ReasonReplay)
 	}
 
-	wrongAddr := mem.Result{Reads: map[mem.OpID]mem.ReadObservation{}, Final: base.Final}
-	for id, obs := range base.Reads {
-		obs.Addr = obs.Addr + 77
-		wrongAddr.Reads[id] = obs
+	wrongAddr := mem.Result{Reads: slices.Clone(base.Reads), Final: base.Final}
+	for i := range wrongAddr.Reads {
+		wrongAddr.Reads[i].Addr += 77
 	}
 	if d := Decide(p, wrongAddr, Config{}); d.Verdict != Rejected || d.Reason != ReasonReplay {
 		t.Errorf("wrong address: got %s (%s), want rejected (%s)", d.Verdict, d.Reason, ReasonReplay)
@@ -116,18 +109,52 @@ func TestDecideReplayMismatch(t *testing.T) {
 func TestDecideNoWriter(t *testing.T) {
 	p := litmus.MP2()
 	results := enumResults(t, p)
-	bad := mem.Result{Reads: map[mem.OpID]mem.ReadObservation{}, Final: results[0].Final}
-	for id, obs := range results[0].Reads {
-		bad.Reads[id] = obs
-	}
-	for id, obs := range bad.Reads {
-		obs.Value = 424242
-		bad.Reads[id] = obs
-		break
-	}
+	bad := mem.Result{Reads: slices.Clone(results[0].Reads), Final: results[0].Final}
+	bad.Reads[0].Value = 424242
 	d := Decide(p, bad, Config{})
 	if d.Verdict != Rejected || d.Reason != ReasonNoWriter {
 		t.Errorf("unwritable value: got %s (%s), want rejected (%s)", d.Verdict, d.Reason, ReasonNoWriter)
+	}
+}
+
+// TestDecideReplayRejectsAtTheMissingRead: the replay rejects at the
+// read whose observation is absent, not at an observation it passes
+// over. Here an extra observation names thread 0's store at index 0; the
+// load at index 1 still finds its own, and the replay then stops on the
+// event budget or the local-step bound. Both are fallbacks: rejecting
+// at the passed-over observation would turn them into verdicts.
+func TestDecideReplayRejectsAtTheMissingRead(t *testing.T) {
+	b := program.NewBuilder("store-load-spin")
+	x := b.Var("x")
+	th := b.Thread()
+	th.StoreImm(x, 1)
+	th.Load(program.R1, x)
+	th.Label("spin").Jmp("spin")
+	spin := b.MustBuild()
+
+	b = program.NewBuilder("store-load-store")
+	x = b.Var("x")
+	th = b.Thread()
+	th.StoreImm(x, 1)
+	th.Load(program.R1, x)
+	th.StoreImm(x, 2)
+	long := b.MustBuild()
+
+	res := mem.NewResult([]mem.ReadObservation{
+		{ID: mem.OpID{Proc: 0, Index: 0}, Addr: x, Value: 0},
+		{ID: mem.OpID{Proc: 0, Index: 1}, Addr: x, Value: 1},
+	}, map[mem.Addr]mem.Value{x: 1})
+	for _, tc := range []struct {
+		p    *program.Program
+		cfg  Config
+		want string
+	}{
+		{spin, Config{}, ReasonReplayBudget},
+		{long, Config{MaxEvents: 3}, ReasonTooLarge},
+	} {
+		if d := Decide(tc.p, res, tc.cfg); d.Verdict != Fallback || d.Reason != tc.want {
+			t.Errorf("%s: got %s (%s), want fallback (%s)", tc.p.Name, d.Verdict, d.Reason, tc.want)
+		}
 	}
 }
 
@@ -154,12 +181,9 @@ func ambiguousProgram() (*program.Program, mem.Result) {
 	b.Thread().StoreImm(x, 1)
 	b.Thread().Load(program.R0, x)
 	p := b.MustBuild()
-	res := mem.Result{
-		Reads: map[mem.OpID]mem.ReadObservation{
-			{Proc: 2, Index: 0}: {ID: mem.OpID{Proc: 2, Index: 0}, Addr: x, Value: 1},
-		},
-		Final: map[mem.Addr]mem.Value{x: 1},
-	}
+	res := mem.NewResult([]mem.ReadObservation{
+		{ID: mem.OpID{Proc: 2, Index: 0}, Addr: x, Value: 1},
+	}, map[mem.Addr]mem.Value{x: 1})
 	return p, res
 }
 
@@ -207,23 +231,17 @@ func TestDecideRMWAtomicity(t *testing.T) {
 	b.Thread().TAS(program.R0, l)
 	b.Thread().TAS(program.R0, l)
 	p := b.MustBuild()
-	bothZero := mem.Result{
-		Reads: map[mem.OpID]mem.ReadObservation{
-			{Proc: 0, Index: 0}: {ID: mem.OpID{Proc: 0, Index: 0}, Addr: l, Value: 0},
-			{Proc: 1, Index: 0}: {ID: mem.OpID{Proc: 1, Index: 0}, Addr: l, Value: 0},
-		},
-		Final: map[mem.Addr]mem.Value{l: 1},
-	}
+	bothZero := mem.NewResult([]mem.ReadObservation{
+		{ID: mem.OpID{Proc: 0, Index: 0}, Addr: l, Value: 0},
+		{ID: mem.OpID{Proc: 1, Index: 0}, Addr: l, Value: 0},
+	}, map[mem.Addr]mem.Value{l: 1})
 	if d := Decide(p, bothZero, Config{}); d.Verdict != Rejected {
 		t.Errorf("both TAS read 0: got %s (%s), want rejected", d.Verdict, d.Reason)
 	}
-	oneWins := mem.Result{
-		Reads: map[mem.OpID]mem.ReadObservation{
-			{Proc: 0, Index: 0}: {ID: mem.OpID{Proc: 0, Index: 0}, Addr: l, Value: 0},
-			{Proc: 1, Index: 0}: {ID: mem.OpID{Proc: 1, Index: 0}, Addr: l, Value: 1},
-		},
-		Final: map[mem.Addr]mem.Value{l: 1},
-	}
+	oneWins := mem.NewResult([]mem.ReadObservation{
+		{ID: mem.OpID{Proc: 0, Index: 0}, Addr: l, Value: 0},
+		{ID: mem.OpID{Proc: 1, Index: 0}, Addr: l, Value: 1},
+	}, map[mem.Addr]mem.Value{l: 1})
 	if d := Decide(p, oneWins, Config{}); d.Verdict != Accepted {
 		t.Errorf("serialized TAS pair: got %s (%s), want accepted", d.Verdict, d.Reason)
 	}
@@ -264,7 +282,7 @@ func TestDecideReplayBudgetPerGap(t *testing.T) {
 	b = program.NewBuilder("local-spin")
 	b.Thread().Label("spin").Jmp("spin")
 	spin := b.MustBuild()
-	empty := mem.Result{Reads: map[mem.OpID]mem.ReadObservation{}, Final: map[mem.Addr]mem.Value{}}
+	empty := mem.Result{Final: map[mem.Addr]mem.Value{}}
 	if d := Decide(spin, empty, Config{}); d.Verdict != Fallback || d.Reason != ReasonReplayBudget {
 		t.Errorf("register-only loop: got %s (%s), want fallback (%s)", d.Verdict, d.Reason, ReasonReplayBudget)
 	}

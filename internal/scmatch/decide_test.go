@@ -3,7 +3,7 @@ package scmatch
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"testing"
 
 	"weakorder/internal/ideal"
@@ -40,17 +40,9 @@ func enumResults(t *testing.T, p *program.Program) []mem.Result {
 // perturb copies r with its lowest-OpID read bumped by +1000: usually
 // unreachable, occasionally still matched by another interleaving.
 func perturb(r mem.Result) mem.Result {
-	out := mem.Result{Reads: make(map[mem.OpID]mem.ReadObservation, len(r.Reads)), Final: r.Final}
-	ids := make([]mem.OpID, 0, len(r.Reads))
-	for id, obs := range r.Reads {
-		out.Reads[id] = obs
-		ids = append(ids, id)
-	}
-	if len(ids) > 0 {
-		sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-		obs := out.Reads[ids[0]]
-		obs.Value += 1000
-		out.Reads[ids[0]] = obs
+	out := mem.Result{Reads: slices.Clone(r.Reads), Final: r.Final}
+	if len(out.Reads) > 0 {
+		out.Reads[0].Value += 1000
 	}
 	return out
 }
@@ -101,12 +93,9 @@ func TestDecideFallsBackToSearch(t *testing.T) {
 	b.Thread().StoreImm(x, 1)
 	b.Thread().Load(program.R0, x)
 	p := b.MustBuild()
-	r := mem.Result{
-		Reads: map[mem.OpID]mem.ReadObservation{
-			{Proc: 2, Index: 0}: {ID: mem.OpID{Proc: 2, Index: 0}, Addr: x, Value: 1},
-		},
-		Final: map[mem.Addr]mem.Value{x: 1},
-	}
+	r := mem.NewResult([]mem.ReadObservation{
+		{ID: mem.OpID{Proc: 2, Index: 0}, Addr: x, Value: 1},
+	}, map[mem.Addr]mem.Value{x: 1})
 	m, err := Decide(p, r, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -178,22 +167,18 @@ func TestDecideFallbackReasons(t *testing.T) {
 	th.StoreImm(z, 1)
 	leading := b.MustBuild()
 
-	noReads := map[mem.OpID]mem.ReadObservation{}
 	for _, tc := range []struct {
 		reason string
 		p      *program.Program
 		r      mem.Result
 	}{
-		{sat.ReasonAmbiguousRF, ambiguous, mem.Result{
-			Reads: map[mem.OpID]mem.ReadObservation{
-				{Proc: 2, Index: 0}: {ID: mem.OpID{Proc: 2, Index: 0}, Addr: x, Value: 1},
-			},
-			Final: map[mem.Addr]mem.Value{x: 1},
-		}},
-		{sat.ReasonCoIncomplete, unordered, mem.Result{Reads: noReads, Final: map[mem.Addr]mem.Value{x: 1}}},
-		{sat.ReasonTooLarge, large, mem.Result{Reads: noReads, Final: map[mem.Addr]mem.Value{y: 4099}}},
-		{sat.ReasonReplayBudget, spin, mem.Result{Reads: noReads, Final: map[mem.Addr]mem.Value{z: 1}}},
-		{sat.ReasonReplayBudget, leading, mem.Result{Reads: noReads, Final: map[mem.Addr]mem.Value{z: 1}}},
+		{sat.ReasonAmbiguousRF, ambiguous, mem.NewResult([]mem.ReadObservation{
+			{ID: mem.OpID{Proc: 2, Index: 0}, Addr: x, Value: 1},
+		}, map[mem.Addr]mem.Value{x: 1})},
+		{sat.ReasonCoIncomplete, unordered, mem.Result{Final: map[mem.Addr]mem.Value{x: 1}}},
+		{sat.ReasonTooLarge, large, mem.Result{Final: map[mem.Addr]mem.Value{y: 4099}}},
+		{sat.ReasonReplayBudget, spin, mem.Result{Final: map[mem.Addr]mem.Value{z: 1}}},
+		{sat.ReasonReplayBudget, leading, mem.Result{Final: map[mem.Addr]mem.Value{z: 1}}},
 	} {
 		d, derr := Decide(tc.p, tc.r, Config{})
 		m, merr := Matches(tc.p, tc.r, Config{})

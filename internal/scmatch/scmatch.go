@@ -111,7 +111,7 @@ func Matches(p *program.Program, r mem.Result, cfg Config) (Match, error) {
 		SkipTruncated: true,
 		Reduce:        true,
 		Cancel:        cfg.Cancel,
-		Observed:      r.Reads,
+		Observed:      &r,
 	}, func(it *ideal.Interp) error {
 		exec := it.Execution()
 		if !mem.ResultOf(exec).Equal(r) {

@@ -3,6 +3,7 @@ package scmatch
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"weakorder/internal/ideal"
@@ -14,13 +15,10 @@ import (
 // dekkerResult builds a Dekker result with the given read values and the
 // always-final state x=1, y=1.
 func dekkerResult(r0, r1 mem.Value) mem.Result {
-	return mem.Result{
-		Reads: map[mem.OpID]mem.ReadObservation{
-			{Proc: 0, Index: 1}: {ID: mem.OpID{Proc: 0, Index: 1}, Addr: 1, Value: r0},
-			{Proc: 1, Index: 1}: {ID: mem.OpID{Proc: 1, Index: 1}, Addr: 0, Value: r1},
-		},
-		Final: map[mem.Addr]mem.Value{0: 1, 1: 1},
-	}
+	return mem.NewResult([]mem.ReadObservation{
+		{ID: mem.OpID{Proc: 0, Index: 1}, Addr: 1, Value: r0},
+		{ID: mem.OpID{Proc: 1, Index: 1}, Addr: 0, Value: r1},
+	}, map[mem.Addr]mem.Value{0: 1, 1: 1})
 }
 
 func TestDekkerAllowedOutcomes(t *testing.T) {
@@ -91,15 +89,12 @@ func TestRoundTripIdealExecutionsAppearSC(t *testing.T) {
 
 func TestIRIWForbiddenDoesNotMatch(t *testing.T) {
 	p := litmus.IRIW()
-	r := mem.Result{
-		Reads: map[mem.OpID]mem.ReadObservation{
-			{Proc: 2, Index: 0}: {ID: mem.OpID{Proc: 2, Index: 0}, Addr: 0, Value: 1},
-			{Proc: 2, Index: 1}: {ID: mem.OpID{Proc: 2, Index: 1}, Addr: 1, Value: 0},
-			{Proc: 3, Index: 0}: {ID: mem.OpID{Proc: 3, Index: 0}, Addr: 1, Value: 1},
-			{Proc: 3, Index: 1}: {ID: mem.OpID{Proc: 3, Index: 1}, Addr: 0, Value: 0},
-		},
-		Final: map[mem.Addr]mem.Value{0: 1, 1: 1},
-	}
+	r := mem.NewResult([]mem.ReadObservation{
+		{ID: mem.OpID{Proc: 2, Index: 0}, Addr: 0, Value: 1},
+		{ID: mem.OpID{Proc: 2, Index: 1}, Addr: 1, Value: 0},
+		{ID: mem.OpID{Proc: 3, Index: 0}, Addr: 1, Value: 1},
+		{ID: mem.OpID{Proc: 3, Index: 1}, Addr: 0, Value: 0},
+	}, map[mem.Addr]mem.Value{0: 1, 1: 1})
 	m, err := Matches(p, r, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -113,15 +108,12 @@ func TestCoherenceViolationDoesNotMatch(t *testing.T) {
 	// Two readers observing x=1,x=2 vs x=2,x=1 with final x=2: the second
 	// reader's (2,1) contradicts write serialization under SC.
 	p := litmus.Coherence()
-	r := mem.Result{
-		Reads: map[mem.OpID]mem.ReadObservation{
-			{Proc: 1, Index: 0}: {ID: mem.OpID{Proc: 1, Index: 0}, Addr: 0, Value: 1},
-			{Proc: 1, Index: 1}: {ID: mem.OpID{Proc: 1, Index: 1}, Addr: 0, Value: 2},
-			{Proc: 2, Index: 0}: {ID: mem.OpID{Proc: 2, Index: 0}, Addr: 0, Value: 2},
-			{Proc: 2, Index: 1}: {ID: mem.OpID{Proc: 2, Index: 1}, Addr: 0, Value: 1},
-		},
-		Final: map[mem.Addr]mem.Value{0: 2},
-	}
+	r := mem.NewResult([]mem.ReadObservation{
+		{ID: mem.OpID{Proc: 1, Index: 0}, Addr: 0, Value: 1},
+		{ID: mem.OpID{Proc: 1, Index: 1}, Addr: 0, Value: 2},
+		{ID: mem.OpID{Proc: 2, Index: 0}, Addr: 0, Value: 2},
+		{ID: mem.OpID{Proc: 2, Index: 1}, Addr: 0, Value: 1},
+	}, map[mem.Addr]mem.Value{0: 2})
 	m, err := Matches(p, r, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +139,9 @@ func TestWrongFinalStateDoesNotMatch(t *testing.T) {
 func TestMissingReadDoesNotMatch(t *testing.T) {
 	p := litmus.Dekker()
 	r := dekkerResult(1, 1)
-	delete(r.Reads, mem.OpID{Proc: 1, Index: 1})
+	r.Reads = slices.DeleteFunc(r.Reads, func(o mem.ReadObservation) bool {
+		return o.ID == mem.OpID{Proc: 1, Index: 1}
+	})
 	m, err := Matches(p, r, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -160,9 +154,9 @@ func TestMissingReadDoesNotMatch(t *testing.T) {
 func TestExtraReadDoesNotMatch(t *testing.T) {
 	p := litmus.Dekker()
 	r := dekkerResult(1, 1)
-	r.Reads[mem.OpID{Proc: 0, Index: 5}] = mem.ReadObservation{
+	r = mem.NewResult(append(r.Reads, mem.ReadObservation{
 		ID: mem.OpID{Proc: 0, Index: 5}, Addr: 0, Value: 0,
-	}
+	}), r.Final)
 	m, err := Matches(p, r, Config{})
 	if err != nil {
 		t.Fatal(err)

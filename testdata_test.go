@@ -143,9 +143,9 @@ func TestTestdataFencedSBNeverForbidden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r0 := res.Result.Reads[weakorder.OpID{Proc: 0, Index: 1}].Value
-			r1 := res.Result.Reads[weakorder.OpID{Proc: 1, Index: 1}].Value
-			if r0 == 0 && r1 == 0 {
+			r0, _ := res.Result.Read(weakorder.OpID{Proc: 0, Index: 1})
+			r1, _ := res.Result.Read(weakorder.OpID{Proc: 1, Index: 1})
+			if r0.Value == 0 && r1.Value == 0 {
 				t.Errorf("%v seed %d: fences failed", pol, seed)
 			}
 		}

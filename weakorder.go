@@ -90,7 +90,8 @@ type (
 	// final memory.
 	Execution = mem.Execution
 	// Result is an execution's observable outcome: every read's value
-	// plus the final memory state.
+	// plus the final memory state. Its Reads are sorted by (processor,
+	// index); Result.Read finds one by OpID.
 	Result = mem.Result
 
 	// Program is a multi-threaded program in the IR.
