@@ -7,8 +7,9 @@
 # The benchmark set covers the hot paths reworked by the POR oracle and
 # simulation-kernel overhaul: the differential campaign, the fault-injection
 # matrix, the SC enumeration/matching oracles (with the appears-SC fast
-# path on one query and on a campaign's query stream, and the result
-# keys the campaign memoizes on), the DRF0 checker, and the axiomatic
+# path on one query and on a campaign's query stream, the result keys
+# the campaign memoizes on, and the per-simulation cost of extracting
+# and keying a result), the DRF0 checker, and the axiomatic
 # candidate-execution engine. Output is
 # a JSON document mapping benchmark names to their measured metrics (ns/op
 # plus any benchmark-reported extras such as steps/op or sims/op).
@@ -34,7 +35,7 @@ BENCHTIME=1x
 COUNT=1
 OUT=BENCH_oracle.json
 BASELINE=
-BENCHSET='BenchmarkCheckCampaign|BenchmarkFaultMatrix$|BenchmarkMachineReuse|BenchmarkMachineStep|BenchmarkIdealEnumerateDekker|BenchmarkIdealEnumeratePOR|BenchmarkSCMatchOracle|BenchmarkSatFastPath|BenchmarkResultKey$|BenchmarkDRF0CheckGenerated|BenchmarkDRF0CheckCandidates|BenchmarkAxiomSC'
+BENCHSET='BenchmarkCheckCampaign|BenchmarkFaultMatrix$|BenchmarkMachineReuse|BenchmarkMachineStep|BenchmarkIdealEnumerateDekker|BenchmarkIdealEnumeratePOR|BenchmarkSCMatchOracle|BenchmarkSatFastPath|BenchmarkResultKey$|BenchmarkResultOf$|BenchmarkDRF0CheckGenerated|BenchmarkDRF0CheckCandidates|BenchmarkAxiomSC'
 
 while [ $# -gt 0 ]; do
     case "$1" in
