@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"sync"
 	"testing"
 
 	"weakorder/internal/cache"
@@ -52,6 +53,21 @@ func campaignQueries(t testing.TB, cfg CampaignConfig) []satQuery {
 	return out
 }
 
+// refQueryCampaign and mesh64QueryCampaign make the two campaign-shaped
+// query streams the tests below decide.
+var (
+	refQueryCampaign = CampaignConfig{
+		Seed: 7, Programs: 100, SeedsPerConfig: 2,
+		Policies: []policy.Kind{policy.SC, policy.Unconstrained, policy.WODef1, policy.WODef2},
+	}
+	mesh64QueryCampaign = CampaignConfig{
+		Seed: 3, Programs: 16, SeedsPerConfig: 2, Procs: 64,
+		Policies:   []policy.Kind{policy.SC, policy.WODef2},
+		Topologies: []machine.Topology{machine.TopoMesh},
+		DirMode:    cache.DirLimitedPtr,
+	}
+)
+
 // TestSatCampaignQueries pins every fast-path decision of two
 // campaign-shaped query streams: about a hundred programs of the
 // campaign-ref benchmark's matrix (SC, Unconstrained, WO-Def1, WO-Def2
@@ -68,16 +84,10 @@ func TestSatCampaignQueries(t *testing.T) {
 		cfg  CampaignConfig
 		want string
 	}{
-		{name: "ref", cfg: CampaignConfig{
-			Seed: 7, Programs: 100, SeedsPerConfig: 2,
-			Policies: []policy.Kind{policy.SC, policy.Unconstrained, policy.WODef1, policy.WODef2},
-		}, want: "e13150b5144069565ccd04f3cf94997b403c115780e76551ef911e10e5b814ca"},
-		{name: "mesh64", cfg: CampaignConfig{
-			Seed: 3, Programs: 16, SeedsPerConfig: 2, Procs: 64,
-			Policies:   []policy.Kind{policy.SC, policy.WODef2},
-			Topologies: []machine.Topology{machine.TopoMesh},
-			DirMode:    cache.DirLimitedPtr,
-		}, want: "5528866229e6596efa8348bfb79a4c8a07b7bb274ed88c3cc2dbc4d593b46a59"},
+		{name: "ref", cfg: refQueryCampaign,
+			want: "e13150b5144069565ccd04f3cf94997b403c115780e76551ef911e10e5b814ca"},
+		{name: "mesh64", cfg: mesh64QueryCampaign,
+			want: "5528866229e6596efa8348bfb79a4c8a07b7bb274ed88c3cc2dbc4d593b46a59"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -99,6 +109,63 @@ func TestSatCampaignQueries(t *testing.T) {
 			if got := fmt.Sprintf("%x", h.Sum(nil)); got != tc.want {
 				t.Errorf("query digest %s, want %s", got, tc.want)
 			}
+		})
+	}
+}
+
+// TestDecideReuse: sat.Decide recycles its buffers across decisions, so
+// no decision may depend on the ones before it. Both query streams of
+// TestSatCampaignQueries are decided forward, then in reverse, then
+// interleaved so that each of the largest queries is followed by one of
+// the smallest, and then from two goroutines at once (one forward, one
+// in reverse). Every decision (verdict, reason, events) must equal the
+// forward pass's. The digest above decides in one fixed order, so
+// residue that shows only after a larger query would pass it.
+func TestDecideReuse(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  CampaignConfig
+	}{{"ref", refQueryCampaign}, {"mesh64", mesh64QueryCampaign}} {
+		t.Run(tc.name, func(t *testing.T) {
+			qs := campaignQueries(t, tc.cfg)
+			want := make([]sat.Decision, len(qs))
+			forward := make([]int, len(qs))
+			for i, q := range qs {
+				want[i] = sat.Decide(q.p, q.res, sat.Config{})
+				forward[i] = i
+			}
+			decide := func(pass string, order []int) {
+				for _, i := range order {
+					if d := sat.Decide(qs[i].p, qs[i].res, sat.Config{}); d != want[i] {
+						t.Errorf("%s: query %d decided %+v, forward pass %+v", pass, i, d, want[i])
+					}
+				}
+			}
+			reverse := slices.Clone(forward)
+			slices.Reverse(reverse)
+			decide("reverse", reverse)
+
+			bySize := slices.Clone(forward)
+			slices.SortStableFunc(bySize, func(a, b int) int { return want[a].Events - want[b].Events })
+			var interleaved []int
+			for lo, hi := 0, len(bySize)-1; lo <= hi; lo, hi = lo+1, hi-1 {
+				interleaved = append(interleaved, bySize[hi])
+				if lo < hi {
+					interleaved = append(interleaved, bySize[lo])
+				}
+			}
+			decide("largest then smallest", interleaved)
+
+			var wg sync.WaitGroup
+			for _, order := range [][]int{forward, reverse} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					decide("concurrent", order)
+				}()
+			}
+			wg.Wait()
+			t.Logf("%d queries decided four ways", len(qs))
 		})
 	}
 }

@@ -19,7 +19,6 @@ package mem
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -268,7 +267,10 @@ func byID(a, b ReadObservation) int {
 // operations in completion order, so each processor's reads get a
 // bucket of the slice, sized by a counting pass and filled in
 // completion order; a bucket is sorted only when its reads completed
-// out of index order.
+// out of index order. The reads are copied out of the trace, which a
+// pooled machine reuses, but the result shares e.Final, as NewResult
+// shares the map it is given: the machine and the interpreter build
+// that map fresh for each execution.
 func ResultOf(e *Execution) Result {
 	var small [16]int
 	next := slices.Grow(small[:0], e.Procs) // per processor: its read count, then its next slot
@@ -302,7 +304,7 @@ func ResultOf(e *Execution) Result {
 		}
 		lo = hi
 	}
-	return Result{Reads: reads, Final: maps.Clone(e.Final)}
+	return Result{Reads: reads, Final: e.Final}
 }
 
 // observable reports whether op's value is part of a Result: it reads

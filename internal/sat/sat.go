@@ -42,6 +42,7 @@ package sat
 
 import (
 	"math/bits"
+	"sync"
 
 	"weakorder/internal/mem"
 	"weakorder/internal/program"
@@ -170,24 +171,39 @@ type event struct {
 func (e *event) reads() bool  { return e.kind.ReadsMemory() }
 func (e *event) writes() bool { return e.kind.WritesMemory() }
 
+// saturators recycles saturators, and with them every buffer a decision
+// uses, across decisions. A pool rather than a cache per caller: the
+// rows of a rare large query (about 4 MiB at DefaultMaxEvents) are
+// released at the next garbage collection instead of staying pinned.
+var saturators = sync.Pool{New: func() any { return new(saturator) }}
+
 // Decide runs the polynomial appears-SC procedure for res on p.
 func Decide(p *program.Program, res mem.Result, cfg Config) Decision {
-	events, d, ok := replay(p, res, cfg)
-	if !ok {
+	s := saturators.Get().(*saturator)
+	s.p, s.res = p, res
+	d := s.decide(cfg)
+	s.p, s.res = nil, mem.Result{}
+	saturators.Put(s)
+	return d
+}
+
+// decide runs replay, saturation and the witness on s.p and s.res.
+func (s *saturator) decide(cfg Config) Decision {
+	if d, ok := s.replay(cfg); !ok {
 		return d
 	}
-	s := newSaturator(p, res, events)
+	s.build()
 	if d, ok := s.saturate(cfg); !ok {
 		return d
 	}
 	return s.witness()
 }
 
-// replay reconstructs the per-thread dynamic operation sequences the
-// result dictates. It runs the interpreter's instruction semantics
-// (program.Thread's RunLocal, program.Instr's WriteValue, register
-// zero-init, per-thread memory-op indices counting every memory
-// operation) but reads return observed values instead of memory
+// replay reconstructs into s.events the per-thread dynamic operation
+// sequences the result dictates. It runs the interpreter's instruction
+// semantics (program.Thread's RunLocal, program.Instr's WriteValue,
+// register zero-init, per-thread memory-op indices counting every
+// memory operation) but reads return observed values instead of memory
 // contents. ok is false when replay itself decided (or fell back); the
 // Decision is then meaningful.
 //
@@ -195,32 +211,30 @@ func Decide(p *program.Program, res mem.Result, cfg Config) Decision {
 // for them in that order too, so one cursor walks them. It steps past
 // the observations the replay does not ask for, which stay unconsumed;
 // a read whose own observation is absent is rejected at that read.
-func replay(p *program.Program, res mem.Result, cfg Config) ([]event, Decision, bool) {
-	// Slot 0 is the init pseudo-write. The capacity guesses one write
-	// per read.
-	events := make([]event, 1, 16+2*len(res.Reads))
-	events[0] = event{proc: mem.InitProc, kind: mem.Write}
-	obs := res.Reads
+func (s *saturator) replay(cfg Config) (Decision, bool) {
+	// Slot 0 is the init pseudo-write.
+	s.events = append(s.events[:0], event{proc: mem.InitProc, kind: mem.Write})
+	obs := s.res.Reads
 	at, consumed := 0, 0 // obs[:at] are consumed or passed over
-	for tid := range p.Threads {
-		th := &p.Threads[tid]
+	for tid := range s.p.Threads {
+		th := &s.p.Threads[tid]
 		var regs program.RegFile
 		pc, nextIx := 0, 0
 		for {
 			next, halted, err := th.RunLocal(&regs, pc)
 			if err != nil {
-				return nil, Decision{Verdict: Fallback, Reason: ReasonReplayBudget}, false
+				return Decision{Verdict: Fallback, Reason: ReasonReplayBudget}, false
 			}
 			if halted {
 				break
 			}
 			pc = next
-			if cfg.Cancel != nil && len(events)&cancelPollMask == 0 && cfg.Cancel() {
-				return nil, Decision{Verdict: Fallback, Reason: ReasonCanceled}, false
+			if cfg.Cancel != nil && len(s.events)&cancelPollMask == 0 && cfg.Cancel() {
+				return Decision{Verdict: Fallback, Reason: ReasonCanceled}, false
 			}
 			in := th.Instrs[pc]
-			if len(events) >= cfg.maxEvents() {
-				return nil, Decision{Verdict: Fallback, Reason: ReasonTooLarge}, false
+			if len(s.events) >= cfg.maxEvents() {
+				return Decision{Verdict: Fallback, Reason: ReasonTooLarge}, false
 			}
 			// The write value is taken before the read component updates
 			// Rd, as in the interpreter.
@@ -232,24 +246,24 @@ func replay(p *program.Program, res mem.Result, cfg Config) ([]event, Decision, 
 					at++
 				}
 				if at == len(obs) || obs[at].ID != id || obs[at].Addr != in.Addr {
-					return nil, Decision{Verdict: Rejected, Reason: ReasonReplay}, false
+					return Decision{Verdict: Rejected, Reason: ReasonReplay}, false
 				}
 				ev.got = obs[at].Value
 				at++
 				consumed++
 				regs[in.Rd] = ev.got
 			}
-			events = append(events, ev)
+			s.events = append(s.events, ev)
 			pc++
 		}
 	}
-	if consumed != len(res.Reads) {
+	if consumed != len(obs) {
 		// Leftover observations name operations no execution of this
 		// program performs (wrong thread, or an index past the replayed
 		// thread's halt): no SC execution matches.
-		return nil, Decision{Verdict: Rejected, Reason: ReasonReplay}, false
+		return Decision{Verdict: Rejected, Reason: ReasonReplay}, false
 	}
-	return events, Decision{}, true
+	return Decision{}, true
 }
 
 // saturator holds the event graph and its incremental transitive
@@ -258,13 +272,15 @@ func replay(p *program.Program, res mem.Result, cfg Config) ([]event, Decision, 
 // Both are maintained exactly on every edge insertion, so "u
 // happens-before v in every witness" is bit v of reach's row u at all
 // times, and the same-location rules are word ANDs against a
-// location's write mask.
+// location's write mask. Every slice is kept for the next decision and
+// cleared by replay and build.
 type saturator struct {
 	p      *program.Program
 	res    mem.Result
 	events []event
 
 	w           int      // words per row
+	words       []uint64 // backs every row below
 	reach, pred []uint64 // n rows each
 	scratchA    []uint64 // ancestor side of an edge insertion
 	scratchD    []uint64 // descendant side
@@ -278,8 +294,16 @@ type saturator struct {
 
 	// rf[r] is read r's resolved writer (-1 while ambiguous).
 	rf []int
+	// applied[r]: r's rf rules are fully applied under the current
+	// closure.
+	applied []bool
 
 	cycle bool
+
+	// The witness's scratch: ancestor counts, bucket starts and the
+	// order (ints), and the SC memory it replays on.
+	ints   []int
+	memory []mem.Value
 }
 
 // location is one address the replayed events touch.
@@ -288,24 +312,35 @@ type location struct {
 	written     bool      // some event writes it
 }
 
-func newSaturator(p *program.Program, res mem.Result, events []event) *saturator {
-	n := len(events)
-	s := &saturator{
-		p:      p,
-		res:    res,
-		events: events,
-		w:      (n + 63) / 64,
-		locOf:  make(map[mem.Addr]int),
-		reads:  make([]int, 0, len(res.Reads)),
-		rf:     make([]int, n),
+// zeroed returns buf resized to n zero elements, reusing its array when
+// it is large enough.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// build derives the graph of s.events: dense locations, the reads,
+// writer masks, and program order's closure.
+func (s *saturator) build() {
+	n := len(s.events)
+	s.w = (n + 63) / 64
+	s.cycle = false
+	if s.locOf == nil {
+		s.locOf = make(map[mem.Addr]int)
+	}
+	clear(s.locOf)
+	s.locs, s.reads = s.locs[:0], s.reads[:0]
 	for i := 1; i < n; i++ {
 		ev := &s.events[i]
 		l, ok := s.locOf[ev.addr]
 		if !ok {
 			l = len(s.locs)
 			s.locOf[ev.addr] = l
-			s.locs = append(s.locs, location{init: p.Init[ev.addr], final: res.Final[ev.addr]})
+			s.locs = append(s.locs, location{init: s.p.Init[ev.addr], final: s.res.Final[ev.addr]})
 		}
 		ev.loc = l
 		if ev.writes() {
@@ -315,7 +350,8 @@ func newSaturator(p *program.Program, res mem.Result, events []event) *saturator
 			s.reads = append(s.reads, i)
 		}
 	}
-	words := make([]uint64, (2*n+2+len(s.locs)+len(s.reads))*s.w)
+	s.words = zeroed(s.words, (2*n+2+len(s.locs)+len(s.reads))*s.w)
+	words := s.words
 	take := func(rows int) []uint64 {
 		m := words[:rows*s.w]
 		words = words[rows*s.w:]
@@ -332,9 +368,11 @@ func newSaturator(p *program.Program, res mem.Result, events []event) *saturator
 			setBit(s.wmask(s.events[i].loc), i)
 		}
 	}
+	s.rf = zeroed(s.rf, n)
 	for i := range s.rf {
 		s.rf[i] = -1
 	}
+	s.applied = zeroed(s.applied, n)
 	// Program order, closed directly: init precedes every event, and
 	// each event precedes the rest of its thread (replay appends each
 	// thread's events contiguously, in index order).
@@ -352,7 +390,6 @@ func newSaturator(p *program.Program, res mem.Result, events []event) *saturator
 		}
 		start = end
 	}
-	return s
 }
 
 // row is node i's row of the closure matrix m.
@@ -488,7 +525,6 @@ func (s *saturator) saturate(cfg Config) (Decision, bool) {
 	// unique writers and their closure rules until nothing changes. Every
 	// round only adds necessary edges, so the loop is monotone and
 	// terminates (the closure and the candidate sets are both bounded).
-	applied := make([]bool, len(s.events)) // rf rules fully applied under current closure
 	for {
 		if cfg.Cancel != nil && cfg.Cancel() {
 			return fail(Fallback, ReasonCanceled)
@@ -539,9 +575,9 @@ func (s *saturator) saturate(cfg Config) (Decision, bool) {
 		for i, r := range s.reads {
 			ev := &s.events[r]
 			if s.rf[r] >= 0 {
-				if !applied[r] {
+				if !s.applied[r] {
 					changed = s.applyRFRules(r, s.rf[r], ev.loc) || changed
-					applied[r] = true
+					s.applied[r] = true
 				}
 				continue
 			}
@@ -566,7 +602,7 @@ func (s *saturator) saturate(cfg Config) (Decision, bool) {
 				s.rf[r] = w
 				s.addEdge(w, r)
 				s.applyRFRules(r, w, ev.loc)
-				applied[r] = true
+				s.applied[r] = true
 				changed = true
 			}
 		}
@@ -578,7 +614,7 @@ func (s *saturator) saturate(cfg Config) (Decision, bool) {
 		}
 		// The closure may have grown; re-run every resolved read's rules
 		// next round until they add nothing.
-		clear(applied)
+		clear(s.applied)
 	}
 	return Decision{}, true
 }
@@ -627,8 +663,8 @@ func (s *saturator) applyRFRules(r, w, l int) bool {
 
 // witness finishes a saturation that found no contradiction: it demands
 // full resolution (every read has one writer, every same-location write
-// pair is ordered), builds the smallest-id-first topological order, and
-// replays it on an SC memory against every observation and the final
+// pair is ordered), orders the events by ancestor count, and replays
+// that order on an SC memory against every observation and the final
 // state. Anything unresolved — or a witness that fails verification —
 // falls back to the search.
 func (s *saturator) witness() Decision {
@@ -661,47 +697,13 @@ func (s *saturator) witness() Decision {
 			}
 		}
 	}
-	// Deterministic Kahn topological sort, smallest id first.
-	n := len(s.events)
-	indeg := make([]int, n)
-	for v := 1; v < n; v++ {
-		// In-degree over the closure's immediate information: count
-		// ancestors. (Using full ancestor counts keeps the order a valid
-		// linear extension: a node is emitted only after every ancestor.)
-		for _, x := range s.row(s.pred, v) {
-			indeg[v] += bits.OnesCount64(x)
-		}
-	}
-	heap := &intHeap{}
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			heap.push(v)
-		}
-	}
-	order := make([]int, 0, n)
-	for heap.len() > 0 {
-		u := heap.pop()
-		order = append(order, u)
-		for k, word := range s.row(s.reach, u) {
-			for word != 0 {
-				v := k<<6 | bits.TrailingZeros64(word)
-				word &= word - 1
-				indeg[v]--
-				if indeg[v] == 0 {
-					heap.push(v)
-				}
-			}
-		}
-	}
-	if len(order) != n {
-		return fail(Rejected, ReasonCycle) // unreachable: closure is acyclic here
-	}
 	// Replay the order on an SC memory.
-	memory := make([]mem.Value, len(s.locs))
+	s.memory = zeroed(s.memory, len(s.locs))
+	memory := s.memory
 	for l := range s.locs {
 		memory[l] = s.locs[l].init
 	}
-	for _, u := range order {
+	for _, u := range s.order() {
 		if u == 0 {
 			continue // init values are pre-loaded
 		}
@@ -730,48 +732,29 @@ func (s *saturator) witness() Decision {
 			return fail(Fallback, ReasonWitness)
 		}
 	}
-	return Decision{Verdict: Accepted, Events: n}
+	return Decision{Verdict: Accepted, Events: len(s.events)}
 }
 
-// intHeap is a tiny min-heap of event ids (the witness's tie-break
-// structure; container/heap's interface boxing is avoidable here).
-type intHeap struct{ a []int }
-
-func (h *intHeap) len() int { return len(h.a) }
-
-func (h *intHeap) push(v int) {
-	h.a = append(h.a, v)
-	i := len(h.a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.a[p] <= h.a[i] {
-			break
+// order returns the events sorted by ancestor count, ties by id, with a
+// counting sort. It is a linear extension of the closure: u → v puts u
+// in pred[v] and pred[u] ⊆ pred[v] while u ∉ pred[u], so u has strictly
+// fewer ancestors than v.
+func (s *saturator) order() []int {
+	n := len(s.events)
+	s.ints = zeroed(s.ints, 3*n+1)
+	anc, next, order := s.ints[:n], s.ints[n:2*n+1], s.ints[2*n+1:]
+	for v := range anc {
+		for _, x := range s.row(s.pred, v) {
+			anc[v] += bits.OnesCount64(x)
 		}
-		h.a[p], h.a[i] = h.a[i], h.a[p]
-		i = p
+		next[anc[v]+1]++
 	}
-}
-
-func (h *intHeap) pop() int {
-	v := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a = h.a[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h.a) && h.a[l] < h.a[small] {
-			small = l
-		}
-		if r < len(h.a) && h.a[r] < h.a[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.a[i], h.a[small] = h.a[small], h.a[i]
-		i = small
+	for c := 1; c < n; c++ {
+		next[c] += next[c-1]
 	}
-	return v
+	for v, c := range anc {
+		order[next[c]] = v
+		next[c]++
+	}
+	return order
 }

@@ -5,9 +5,12 @@ import (
 	"slices"
 	"testing"
 
+	"weakorder/internal/gen"
 	"weakorder/internal/ideal"
 	"weakorder/internal/litmus"
+	"weakorder/internal/machine"
 	"weakorder/internal/mem"
+	"weakorder/internal/policy"
 	"weakorder/internal/program"
 )
 
@@ -300,7 +303,8 @@ func TestClosureExact(t *testing.T) {
 		for i := 1; i < n; i++ {
 			events[i] = event{proc: (i - 1) * 3 / n, kind: mem.Write}
 		}
-		s := newSaturator(&program.Program{}, mem.Result{}, events)
+		s := &saturator{p: &program.Program{}, events: events}
+		s.build()
 		// edge[u][v]: u -> v is a program-order or inserted edge.
 		edge := make([][]bool, n)
 		for u := range edge {
@@ -345,5 +349,56 @@ func TestClosureExact(t *testing.T) {
 				}
 			}
 		}
+		// The witness's ancestor-count order lists every event once and
+		// puts u before v for every closure pair u -> v.
+		pos := make([]int, n)
+		for i := range pos {
+			pos[i] = -1
+		}
+		for i, v := range s.order() {
+			if pos[v] >= 0 {
+				t.Fatalf("n=%d: order lists %d twice", n, v)
+			}
+			pos[v] = i
+		}
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if hasBit(s.row(s.reach, u), v) && !(pos[u] >= 0 && pos[u] < pos[v]) {
+					t.Fatalf("n=%d: order puts %d at %d and %d at %d, but %d -> %d", n, u, pos[u], v, pos[v], u, v)
+				}
+			}
+		}
+	}
+}
+
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
+// TestDecideAllocFree: a warm decision allocates nothing. The saturator
+// and every buffer it fills come back from the pool, cleared. The query
+// is BenchmarkSatFastPath's: a campaign-shaped lock program's observed
+// machine result, which the fast path accepts.
+func TestDecideAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	prog := gen.RaceFree(gen.RaceFreeConfig{
+		Procs: 2, Locks: 1, SharedPerLock: 2, PrivatePerProc: 1,
+		Sections: 1, OpsPerSection: 2, PrivateOps: 1,
+	}, 3)
+	res, err := machine.Run(prog, machine.Config{
+		Policy: policy.SC, Topology: machine.TopoBus, Caches: true,
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decide := func() {
+		if d := Decide(prog, res.Result, Config{}); d.Verdict != Accepted {
+			t.Fatalf("lock-program query: got %s (%s), want accepted", d.Verdict, d.Reason)
+		}
+	}
+	decide()
+	if allocs := testing.AllocsPerRun(100, decide); allocs != 0 {
+		t.Errorf("warm Decide allocated %.1f times per call, want 0", allocs)
 	}
 }
