@@ -62,7 +62,6 @@ func main() {
 		journal  = flag.String("journal", "", "append-only campaign journal: every completed program is checkpointed here")
 		resume   = flag.Bool("resume", false, "resume from an existing -journal instead of starting over")
 		deadline = flag.Duration("check-deadline", 0, "wall-clock budget per oracle decision (0 = unbounded; nonzero trades reproducibility for liveness)")
-		satfast  = flag.String("satfast", "on", "polynomial appears-SC fast path: on or off (off answers every query by result-directed search)")
 		listen   = flag.String("listen", "", "serve the campaign control plane on this address (/metrics, /progress, /violations, /summary, /debug/pprof)")
 		progIntv = flag.Duration("progress-interval", 0, "emit a progress line to stderr at most this often (0 = off)")
 		progFmt  = flag.String("progress", "json", "format of -progress-interval lines: json (one object per line, the /progress payload) or text")
@@ -107,22 +106,13 @@ func main() {
 	if *resume && *journal == "" {
 		fatalUsage(fmt.Errorf("-resume requires -journal"))
 	}
-	if *procs < 0 {
-		fatalUsage(fmt.Errorf("-procs must be non-negative, got %d", *procs))
+	if *procs < 0 || *runs < 0 || *workers < 0 {
+		fatalUsage(fmt.Errorf("-procs, -runs and -workers must be non-negative, got %d, %d and %d", *procs, *runs, *workers))
 	}
 	dm, err := cache.ParseDirMode(*dirmode)
 	if err != nil {
 		fatalUsage(err)
 	}
-	var noSatFast bool
-	switch *satfast {
-	case "on":
-	case "off":
-		noSatFast = true
-	default:
-		fatalUsage(fmt.Errorf("-satfast must be on or off, got %q", *satfast))
-	}
-
 	cfg := check.CampaignConfig{
 		Seed:           *seed,
 		Programs:       *n,
@@ -136,7 +126,6 @@ func main() {
 		Journal:        *journal,
 		Resume:         *resume,
 		CheckDeadline:  *deadline,
-		NoSatFast:      noSatFast,
 	}
 	if !*quiet {
 		cfg.Logf = func(format string, args ...interface{}) {

@@ -65,6 +65,9 @@ func main() {
 		suite       = flag.Bool("suite", false, "run the classic litmus suite across all policies and exit")
 	)
 	flag.Parse()
+	if *seeds < 1 {
+		fatalUsage(fmt.Errorf("-seeds must be at least 1, got %d", *seeds))
+	}
 
 	if *suite {
 		runSuite(*seeds)

@@ -33,16 +33,6 @@ type Config struct {
 	// the axiomatic and operational candidate spaces identical.
 	// Zero means DefaultMaxMemOps.
 	MaxMemOpsPerThread int
-	// MaxRunsPerThread caps the complete local runs enumerated per
-	// thread; exceeding it makes the result incomplete.
-	// Zero means DefaultMaxRunsPerThread.
-	MaxRunsPerThread int
-	// MaxValuesPerAddr caps each address's value domain; exceeding it
-	// makes the result incomplete. Zero means DefaultMaxValuesPerAddr.
-	MaxValuesPerAddr int
-	// MaxCandidates caps complete rf/co candidates examined.
-	// Zero means DefaultMaxCandidates.
-	MaxCandidates int
 	// MaxSteps caps search-tree nodes across rf, co and so enumeration.
 	// Zero means DefaultMaxSteps.
 	MaxSteps int
@@ -63,25 +53,23 @@ type Config struct {
 
 // Defaults for Config fields.
 const (
-	DefaultMaxMemOps        = 8
-	DefaultMaxRunsPerThread = 512
-	DefaultMaxValuesPerAddr = 64
-	DefaultMaxCandidates    = 1 << 20
-	DefaultMaxSteps         = 4 << 20
+	DefaultMaxMemOps = 8
+	DefaultMaxSteps  = 4 << 20
+)
+
+// Fixed bounds of the candidate search. Exceeding maxRunsPerThread
+// (complete local runs per thread) or maxValuesPerAddr (an address's
+// value domain) makes the result incomplete, as does examining more
+// than maxCandidates complete rf/co candidates.
+const (
+	maxRunsPerThread = 512
+	maxValuesPerAddr = 64
+	maxCandidates    = 1 << 20
 )
 
 func (c Config) withDefaults() Config {
 	if c.MaxMemOpsPerThread <= 0 {
 		c.MaxMemOpsPerThread = DefaultMaxMemOps
-	}
-	if c.MaxRunsPerThread <= 0 {
-		c.MaxRunsPerThread = DefaultMaxRunsPerThread
-	}
-	if c.MaxValuesPerAddr <= 0 {
-		c.MaxValuesPerAddr = DefaultMaxValuesPerAddr
-	}
-	if c.MaxCandidates <= 0 {
-		c.MaxCandidates = DefaultMaxCandidates
 	}
 	if c.MaxSteps <= 0 {
 		c.MaxSteps = DefaultMaxSteps

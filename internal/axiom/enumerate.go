@@ -531,7 +531,7 @@ func (s *searcher) coStep(k int) error {
 func (s *searcher) leaf() error {
 	st := &s.verdict.Stats
 	st.Candidates++
-	if st.Candidates > s.cfg.MaxCandidates {
+	if st.Candidates > maxCandidates {
 		return errBudget
 	}
 	s.computeFR(len(s.sk.reads))

@@ -51,12 +51,11 @@ func (e *event) isWrite() bool { return !e.fence && (e.proc == mem.InitProc || e
 type runEnumerator struct {
 	instrs    []program.Instr
 	memBudget int // max dynamic memory ops per run (truncation bound)
-	maxRuns   int
 	dom       map[mem.Addr][]mem.Value
 
 	runs      [][]event
 	truncated bool // some run hit the memory-op budget and was discarded
-	overflow  bool // more than maxRuns complete runs: enumeration incomplete
+	overflow  bool // more than maxRunsPerThread complete runs: enumeration incomplete
 
 	// cutWrites collects the write events of truncated run prefixes and
 	// cutMaxW their largest per-run write count. Truncated runs produce
@@ -96,7 +95,7 @@ func (re *runEnumerator) enumerate(pins map[int]mem.Value) error {
 		return nil
 	}
 	if run != nil {
-		if len(re.runs) >= re.maxRuns {
+		if len(re.runs) >= maxRunsPerThread {
 			re.overflow = true
 			return errRunOverflow
 		}
@@ -206,7 +205,6 @@ func enumerateRuns(p *program.Program, dom map[mem.Addr][]mem.Value, cfg *Config
 		re := &runEnumerator{
 			instrs:    p.Threads[t].Instrs,
 			memBudget: cfg.MaxMemOpsPerThread,
-			maxRuns:   cfg.MaxRunsPerThread,
 			dom:       dom,
 		}
 		err := re.enumerate(make(map[int]mem.Value))
@@ -284,7 +282,7 @@ func computeDomains(p *program.Program, cfg *Config) (dom map[mem.Addr][]mem.Val
 			writeCap += maxW
 		}
 		for _, a := range addrs {
-			if len(dom[a]) > cfg.MaxValuesPerAddr {
+			if len(dom[a]) > maxValuesPerAddr {
 				return dom, false, nil
 			}
 		}

@@ -40,7 +40,7 @@ func FuzzParse(f *testing.F) {
 		if again := m2.Dump(); again != dump {
 			t.Fatalf("Parse(%q) twice dumps differently:\n%s\nthen\n%s", src, dump, again)
 		}
-		v, err := Check(sb, m, Config{MaxSteps: 20_000, MaxCandidates: 2_000})
+		v, err := Check(sb, m, Config{MaxSteps: 20_000})
 		if err == nil && v == nil {
 			t.Fatalf("Check under Parse(%q) returned neither a verdict nor an error", src)
 		}

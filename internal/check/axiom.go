@@ -15,10 +15,12 @@ import (
 	"weakorder/internal/scmatch"
 )
 
-// Axiomatic-vs-operational differential defaults. The per-thread budget
-// is deliberately smaller than oracleMemOpsPerThread: the axiomatic side
-// enumerates rf and co combinatorially, so its cost grows much faster
-// with event count than the interleaving oracle's.
+// Axiomatic-vs-operational differential budgets: the default per-thread
+// memory-op budget, the axiomatic search's step cap and the operational
+// enumerations' path cap. The per-thread budget is deliberately smaller
+// than oracleMemOpsPerThread: the axiomatic side enumerates rf and co
+// combinatorially, so its cost grows much faster with event count than
+// the interleaving oracle's.
 const (
 	axiomDiffMemOps    = 6
 	axiomDiffMaxSteps  = 1 << 21
@@ -32,10 +34,6 @@ type AxiomDiffConfig struct {
 	// MemOpsPerThread is the shared per-thread memory-op budget
 	// (default 6).
 	MemOpsPerThread int
-	// MaxSteps caps the axiomatic search (default 1<<21).
-	MaxSteps int
-	// MaxPaths caps the operational enumerations (default 200k).
-	MaxPaths int
 	// Metrics, when set, receives axiom.diff.* counters in addition to
 	// the engine's own axiom.* counters.
 	Metrics *metrics.Registry
@@ -46,20 +44,6 @@ func (c *AxiomDiffConfig) memOps() int {
 		return c.MemOpsPerThread
 	}
 	return axiomDiffMemOps
-}
-
-func (c *AxiomDiffConfig) maxSteps() int {
-	if c.MaxSteps > 0 {
-		return c.MaxSteps
-	}
-	return axiomDiffMaxSteps
-}
-
-func (c *AxiomDiffConfig) maxPaths() int {
-	if c.MaxPaths > 0 {
-		return c.MaxPaths
-	}
-	return axiomDiffEnumPaths
 }
 
 // AxiomDiffResult reports one comparison. When Skipped is set, one side
@@ -113,13 +97,13 @@ func AxiomDiff(p *program.Program, cfg AxiomDiffConfig) (AxiomDiffResult, error)
 	budget := cfg.memOps()
 	axCfg := axiom.Config{
 		MaxMemOpsPerThread: budget,
-		MaxSteps:           cfg.maxSteps(),
+		MaxSteps:           axiomDiffMaxSteps,
 		Metrics:            cfg.Metrics,
 	}
 	enumCfg := ideal.EnumConfig{
 		Interp:        ideal.Config{MaxMemOpsPerThread: budget},
 		SkipTruncated: true,
-		MaxPaths:      cfg.maxPaths(),
+		MaxPaths:      axiomDiffEnumPaths,
 		Reduce:        true,
 	}
 
@@ -163,7 +147,7 @@ func AxiomDiff(p *program.Program, cfg AxiomDiffConfig) (AxiomDiffResult, error)
 	// DRF0 race classification.
 	v, err := axiom.Check(p, axiom.MustLoad("drf0"), axiom.Config{
 		MaxMemOpsPerThread: budget,
-		MaxSteps:           cfg.maxSteps(),
+		MaxSteps:           axiomDiffMaxSteps,
 		StopWhenFlagged:    true,
 		Metrics:            cfg.Metrics,
 	})

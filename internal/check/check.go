@@ -87,16 +87,14 @@ type CampaignConfig struct {
 	// those modes are differential tests of the scalable directories).
 	DirMode cache.DirMode
 	// SeedsPerConfig is the number of machine seeds each (program,
-	// config) pair runs under (default 2).
+	// config) pair runs under (default 2; negative is an error).
 	SeedsPerConfig int
-	// Workers bounds the worker pool (default runtime.GOMAXPROCS(0)).
+	// Workers bounds the worker pool (default runtime.GOMAXPROCS(0);
+	// negative is an error).
 	Workers int
 	// CorpusDir, when non-empty, receives a .litmus + .json reproducer
 	// pair for every violation.
 	CorpusDir string
-	// MaxShrinkTries bounds the shrinker's candidate evaluations per
-	// violation (default 400).
-	MaxShrinkTries int
 	// Fault is the test-only fault hook; see FaultHook.
 	Fault FaultHook
 	// Journal, when non-empty, is the path of the campaign's append-only
@@ -118,14 +116,6 @@ type CampaignConfig struct {
 	// hanging its worker. Zero disables deadlines, which is required for
 	// byte-reproducible summaries (a skip depends on host speed).
 	CheckDeadline time.Duration
-	// NoSatFast disables the polynomial appears-SC fast path
-	// (internal/sat) and answers every oracle query by the
-	// result-directed search alone — the reference for differential
-	// debugging of the fast path itself (`wofuzz -satfast=off`). Verdicts
-	// are identical either way within the search budget (the fast path
-	// accepts only via a verified witness and rejects only on a
-	// contradiction); only the oracle accounting differs.
-	NoSatFast bool
 	// Faults, when non-nil and enabled, arms the deterministic
 	// interconnect fault injector on every cached matrix row (the
 	// no-cache rows have no retry protocol and run fault-free). The
@@ -175,9 +165,6 @@ func (c CampaignConfig) withDefaults() CampaignConfig {
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.MaxShrinkTries == 0 {
-		c.MaxShrinkTries = 400
-	}
 	return c
 }
 
@@ -194,11 +181,21 @@ const (
 	// its whole cycle budget, so the shrinker's per-candidate cost is the
 	// budget itself.
 	livenessShrinkMaxCycles = 50_000
+	// maxShrinkTries bounds the shrinker's candidate evaluations per
+	// violation.
+	maxShrinkTries = 400
 )
 
 // oracleMatchMaxStates bounds the result-directed search. It is a
 // variable only so that a test can make searches overrun.
 var oracleMatchMaxStates = 300_000
+
+// searchOnly answers every appears-SC query by the result-directed
+// search alone, without the saturation fast path (internal/sat). It is
+// the reference path the fast path is checked against: verdicts are
+// identical either way within the search budget, and only the oracle
+// accounting differs. It is a variable only so that tests can select it.
+var searchOnly bool
 
 // shrinkBudget is the watchdog of the shrink probes for a violation
 // whose run took cycles. A candidate is a reduction of that run's
@@ -305,8 +302,9 @@ func Run(cfg CampaignConfig) (*Summary, error) {
 	if len(matrix) == 0 {
 		return nil, fmt.Errorf("check: empty config matrix")
 	}
-	if cfg.Procs < 0 {
-		return nil, fmt.Errorf("check: CampaignConfig.Procs must be non-negative")
+	if cfg.Procs < 0 || cfg.SeedsPerConfig < 0 || cfg.Workers < 0 {
+		return nil, fmt.Errorf("check: CampaignConfig.Procs (%d), SeedsPerConfig (%d) and Workers (%d) must be non-negative",
+			cfg.Procs, cfg.SeedsPerConfig, cfg.Workers)
 	}
 	for i := range matrix {
 		if matrix[i].Caches {
@@ -362,7 +360,7 @@ func Run(cfg CampaignConfig) (*Summary, error) {
 		}
 	}
 	if cfg.Listen != "" {
-		srv, serr := ctlplane.Serve(cfg.Listen, c.pub, ctlplane.Options{})
+		srv, serr := ctlplane.Serve(cfg.Listen, c.pub)
 		if serr != nil {
 			return nil, serr
 		}

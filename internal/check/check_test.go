@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"weakorder/internal/faults"
 	"weakorder/internal/machine"
@@ -181,7 +182,6 @@ func TestBrokenRetryYieldsLivenessReproducer(t *testing.T) {
 		Topologies:     []machine.Topology{machine.TopoNetwork},
 		Faults:         &faults.Plan{Drop: 1, DisableRetry: true},
 		CorpusDir:      dir,
-		MaxShrinkTries: 40,
 	}
 	s, err := Run(cfg)
 	if err != nil {
@@ -367,5 +367,39 @@ func TestDeriveSeedStable(t *testing.T) {
 	}
 	if deriveSeed(12345, 6, 7, 8) < 0 {
 		t.Fatal("deriveSeed must be non-negative")
+	}
+}
+
+// TestRunRejectsNegativeCounts: a negative processor, seed or worker
+// count is a configuration error. A negative Workers once started no
+// worker, so Run never returned, and a negative SeedsPerConfig ran no
+// simulation and returned a clean summary; the timeout turns such a
+// hang into a failure.
+func TestRunRejectsNegativeCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*CampaignConfig)
+	}{
+		{"procs", func(c *CampaignConfig) { c.Procs = -1 }},
+		{"seeds", func(c *CampaignConfig) { c.SeedsPerConfig = -1 }},
+		{"workers", func(c *CampaignConfig) { c.Workers = -1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallCampaign(3)
+			tc.set(&cfg)
+			errc := make(chan error, 1)
+			go func() {
+				_, err := Run(cfg)
+				errc <- err
+			}()
+			select {
+			case err := <-errc:
+				if err == nil {
+					t.Fatal("Run accepted a negative count")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Run did not return within 10s")
+			}
+		})
 	}
 }

@@ -70,7 +70,7 @@ func verdictDigest(t *testing.T, s *Summary, corpusDir string) string {
 // that together exercise every oracle path: the full policy matrix, the
 // padded 64-processor mesh with a limited-pointer directory, an injected
 // Definition 2 fault with shrinking and corpus emission, severe
-// interconnect faults, and the search-only oracle (NoSatFast). The two
+// interconnect faults, and the search-only oracle (searchOnly). The two
 // shrink-matrix cases pin the shrinker's outcomes (reports and shrunk
 // litmus, not corpus file names) on the campaign-shrink benchmark's
 // matrix, fault-free and under severe interconnect faults. Any change
@@ -80,10 +80,11 @@ func verdictDigest(t *testing.T, s *Summary, corpusDir string) string {
 func TestGoldenCampaignVerdicts(t *testing.T) {
 	severe := faults.Severe()
 	cases := []struct {
-		name   string
-		cfg    CampaignConfig
-		corpus bool
-		want   string
+		name       string
+		cfg        CampaignConfig
+		corpus     bool
+		searchOnly bool
+		want       string
 	}{
 		{name: "all-policies", cfg: CampaignConfig{
 			Seed: 1, Programs: 64, SeedsPerConfig: 2,
@@ -105,8 +106,8 @@ func TestGoldenCampaignVerdicts(t *testing.T) {
 			Faults:     &severe,
 		}, want: "a5e0c9bfc22b131d5770f37091da862586260cc51414d5b21e50862241cbef1a"},
 		{name: "search-only", cfg: CampaignConfig{
-			Seed: 7, Programs: 32, SeedsPerConfig: 1, NoSatFast: true,
-		}, want: "4fbe72a352beab7188b9e8af4dc7a2d260e3a504a9528f79bfee1258a5b2f997"},
+			Seed: 7, Programs: 32, SeedsPerConfig: 1,
+		}, searchOnly: true, want: "4fbe72a352beab7188b9e8af4dc7a2d260e3a504a9528f79bfee1258a5b2f997"},
 		{name: "shrink-matrix", cfg: CampaignConfig{
 			Seed: 1, Programs: 20, SeedsPerConfig: 2,
 			Policies: []policy.Kind{policy.WODef2, policy.SC},
@@ -126,6 +127,10 @@ func TestGoldenCampaignVerdicts(t *testing.T) {
 			cfg := tc.cfg
 			if tc.corpus {
 				cfg.CorpusDir = t.TempDir()
+			}
+			if tc.searchOnly {
+				t.Cleanup(func() { searchOnly = false })
+				searchOnly = true
 			}
 			s, err := Run(cfg)
 			if err != nil {

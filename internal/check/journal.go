@@ -19,7 +19,7 @@ import (
 // would not reproduce — is rejected on resume instead of silently
 // merged. Bump it whenever generators, oracles, shrinking, or the
 // progOutcome encoding change observable results.
-const journalCodeHash = "check-v16" // v16: a local-loop classify error is a recorded skip
+const journalCodeHash = "check-v17" // v17: shrink-try budget and search-only switch left the identity
 
 // journalMagic identifies the file format, independent of campaign
 // identity.
@@ -53,8 +53,9 @@ func recordSum(idx int, out []byte) uint32 {
 // outcomes. Workers, Progress, Logf, CorpusDir, and the journal fields
 // themselves are deliberately excluded — a journal written with 8
 // workers must resume under 1 (the Summary is worker-count-invariant).
-// The test-only Fault hook cannot be hashed and is likewise excluded;
-// tests that inject faults must keep the hook stable across resume.
+// The test-only Fault hook cannot be hashed and is likewise excluded,
+// as is the test-only searchOnly switch; tests that set either must keep
+// it stable across resume.
 func (c *campaign) identity() string {
 	type topoDesc struct {
 		Name   string `json:"name"`
@@ -65,9 +66,7 @@ func (c *campaign) identity() string {
 		Seed           int64         `json:"seed"`
 		Programs       int           `json:"programs"`
 		SeedsPerConfig int           `json:"seedsPerConfig"`
-		MaxShrinkTries int           `json:"maxShrinkTries"`
 		CheckDeadline  time.Duration `json:"checkDeadline"`
-		NoSatFast      bool          `json:"noSatFast"`
 		Procs          int           `json:"procs"`
 		DirMode        string        `json:"dirMode"`
 		Matrix         []topoDesc    `json:"matrix"`
@@ -77,9 +76,7 @@ func (c *campaign) identity() string {
 		Seed:           c.cfg.Seed,
 		Programs:       c.cfg.Programs,
 		SeedsPerConfig: c.cfg.SeedsPerConfig,
-		MaxShrinkTries: c.cfg.MaxShrinkTries,
 		CheckDeadline:  c.cfg.CheckDeadline,
-		NoSatFast:      c.cfg.NoSatFast,
 		Procs:          c.cfg.Procs,
 		DirMode:        c.cfg.DirMode.String(),
 	}

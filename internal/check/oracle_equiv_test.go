@@ -13,7 +13,6 @@ import (
 	"weakorder/internal/mem"
 	"weakorder/internal/policy"
 	"weakorder/internal/program"
-	"weakorder/internal/scmatch"
 )
 
 // oracleEnumMaxPaths bounds the reference SC outcome-set enumeration.
@@ -54,38 +53,32 @@ func enumOutcomes(t *testing.T, p *program.Program, cfg ideal.EnumConfig) (out m
 	return out, stats, false
 }
 
-// matchVerdict runs the result-directed search; budget-exceeded is its
-// own verdict value (the campaign records it as a budget skip). The
-// naive side is scmatch.Matches's search with reduction off: every
-// interleaving consistent with r's reads, stopped at the first whose
-// result equals r.
+// matchVerdict runs the result-directed search that scmatch.Matches
+// runs, under the bounded interpreter of the outcome-set enumeration,
+// with partial-order reduction off (naive) or on: every interleaving
+// consistent with r's reads, stopped at the first whose result equals
+// r. Budget-exceeded is its own verdict value (the campaign records it
+// as a budget skip).
 func matchVerdict(t *testing.T, p *program.Program, r mem.Result, naive bool) (ok, budget bool) {
 	t.Helper()
-	interp := ideal.Config{MaxMemOpsPerThread: oracleMemOpsPerThread}
-	var err error
-	if naive {
-		_, err = ideal.Enumerate(p, ideal.EnumConfig{
-			Interp:        interp,
-			MaxPaths:      oracleMatchMaxStates,
-			SkipTruncated: true,
-			Observed:      &r,
-		}, func(it *ideal.Interp) error {
-			if !mem.ResultOf(it.Execution()).Equal(r) {
-				return nil
-			}
-			ok = true
-			return ideal.ErrStop
-		})
-	} else {
-		var m scmatch.Match
-		m, err = scmatch.Matches(p, r, scmatch.Config{Interp: interp, MaxStates: oracleMatchMaxStates})
-		ok = m.OK
-	}
-	if errors.Is(err, scmatch.ErrBudget) || errors.Is(err, ideal.ErrBudget) {
+	_, err := ideal.Enumerate(p, ideal.EnumConfig{
+		Interp:        ideal.Config{MaxMemOpsPerThread: oracleMemOpsPerThread},
+		MaxPaths:      oracleMatchMaxStates,
+		SkipTruncated: true,
+		Reduce:        !naive,
+		Observed:      &r,
+	}, func(it *ideal.Interp) error {
+		if !mem.ResultOf(it.Execution()).Equal(r) {
+			return nil
+		}
+		ok = true
+		return ideal.ErrStop
+	})
+	if errors.Is(err, ideal.ErrBudget) {
 		return false, true
 	}
 	if err != nil {
-		t.Fatalf("%s: scmatch: %v", p.Name, err)
+		t.Fatalf("%s: search: %v", p.Name, err)
 	}
 	return ok, false
 }
@@ -104,8 +97,9 @@ func corrupt(r mem.Result) mem.Result {
 // for the partial-order reduction: across the full generator catalog
 // (race-free and racy), the reduced oracle must produce the identical
 // SC outcome set, the identical truncation status, the identical DRF
-// classification, and the identical scmatch.Matches verdict as naive
-// enumeration — while exploring at least 5x fewer steps on aggregate.
+// classification, and the identical result-directed search verdict as
+// naive enumeration — while exploring at least 5x fewer steps on
+// aggregate.
 func TestOracleEquivalenceNaiveVsReduced(t *testing.T) {
 	specs := generators()
 	perSpec := 52 // 4 specs x 52 = 208 programs

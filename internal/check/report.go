@@ -175,8 +175,8 @@ type OracleStats struct {
 	// L1Hits counts queries answered by the program-local memo.
 	L1Hits int `json:"l1Hits"`
 	// Fallbacks counts queries that ran the result-directed search:
-	// those the fast path handed on, or every non-L1 query when
-	// CampaignConfig.NoSatFast disables the fast path.
+	// those the fast path handed on, or every non-L1 query on the
+	// search-only reference path that tests select.
 	Fallbacks int `json:"fallbacks"`
 	// BudgetExceeded counts appears-SC decisions that exhausted their
 	// search budget: the oracle-stage "budget" skips in Summary.Skips.
@@ -185,8 +185,8 @@ type OracleStats struct {
 	// SatDecided counts queries the polynomial saturation fast path
 	// (internal/sat) decided outright, without a search. It splits into
 	// SatAccepted (verified-witness acceptances) and SatRejected
-	// (necessary-edge contradictions). All three are zero when
-	// CampaignConfig.NoSatFast disables the stage.
+	// (necessary-edge contradictions). All three are zero on the
+	// search-only reference path.
 	SatDecided  int `json:"satDecided,omitempty"`
 	SatAccepted int `json:"satAccepted,omitempty"`
 	SatRejected int `json:"satRejected,omitempty"`

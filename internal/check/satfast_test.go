@@ -146,10 +146,10 @@ func TestSatFastSummaryParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full campaigns; skipped in -short")
 	}
-	run := func(noSatFast bool) *Summary {
-		cfg := smallCampaign(7)
-		cfg.NoSatFast = noSatFast
-		s, err := Run(cfg)
+	run := func(search bool) *Summary {
+		searchOnly = search
+		defer func() { searchOnly = false }()
+		s, err := Run(smallCampaign(7))
 		if err != nil {
 			t.Fatal(err)
 		}

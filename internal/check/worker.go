@@ -417,7 +417,7 @@ func (c *campaign) checkOne(out *progOutcome, ws *workerState, prog *program.Pro
 }
 
 // decide answers one appears-SC query for an observed result of p:
-// scmatch.Decide, or under NoSatFast the search alone — the reference
+// scmatch.Decide, or under searchOnly the search alone — the reference
 // path the golden search-only campaign pins. The interpreter is
 // unbounded: the observed result may contain any number of dynamic
 // memory operations per thread (spin retries), and pruning against the
@@ -425,7 +425,7 @@ func (c *campaign) checkOne(out *progOutcome, ws *workerState, prog *program.Pro
 // covers the whole decision.
 func (c *campaign) decide(p *program.Program, res mem.Result) (scmatch.Match, error) {
 	cfg := scmatch.Config{MaxStates: oracleMatchMaxStates, Cancel: c.deadlineHook()}
-	if c.cfg.NoSatFast {
+	if searchOnly {
 		return scmatch.Matches(p, res, cfg)
 	}
 	return scmatch.Decide(p, res, cfg)
@@ -499,7 +499,7 @@ func (c *campaign) report(kind string, spec genSpec, genSeed int64, idx int,
 	outcome string, cycles uint64, detail string, ws *workerState) (ViolationReport, error) {
 
 	pred := c.violates(kind, mcfg, machineSeed, cycles, ws)
-	shrunk, steps := Shrink(prog, pred, c.cfg.MaxShrinkTries)
+	shrunk, steps := Shrink(prog, pred, maxShrinkTries)
 	rep := ViolationReport{
 		Kind:         kind,
 		Program:      shrunk.Name,

@@ -9,7 +9,7 @@
 // publish through atomic counters and an append-only feed, and every
 // Source method aggregates copies). The /metrics and /summary payloads
 // are additionally rate-limited: both are derived from the same
-// aggregation pass, which runs on demand at most once per RefreshEvery
+// aggregation pass, which runs on demand at most once per second
 // with every request in between served from the cached bytes. An
 // unscraped control plane therefore does no aggregation work at all,
 // and a hammered one does a bounded amount per interval — which is what
@@ -21,7 +21,7 @@
 //	GET /healthz            liveness probe ("ok")
 //	GET /metrics            Prometheus text exposition (periodic snapshot)
 //	GET /progress           one JSON progress object
-//	GET /progress/stream    SSE: a progress object every RefreshEvery
+//	GET /progress/stream    SSE: a progress object every second
 //	GET /violations         NDJSON: every shrunk violation so far
 //	GET /violations/stream  SSE: replay, then tail the violation feed
 //	GET /summary            current partial campaign summary (JSON)
@@ -55,13 +55,10 @@ type Source interface {
 	Violations(from int) (lines [][]byte, next int, changed <-chan struct{})
 }
 
-// Options tunes a Server.
-type Options struct {
-	// RefreshEvery caps how often the /metrics and /summary payloads are
-	// rebuilt from the Source and sets the /progress/stream tick
-	// (default 1s).
-	RefreshEvery time.Duration
-}
+// refreshEvery caps how often the /metrics and /summary payloads are
+// rebuilt from the Source and sets the /progress/stream tick. It is a
+// variable only so that tests can lower it.
+var refreshEvery = time.Second
 
 // Server is a running control plane. Close stops it.
 type Server struct {
@@ -85,19 +82,15 @@ type Server struct {
 
 // Serve binds addr (host:port; an empty host or port 0 work the usual
 // ways) and serves the control plane until Close.
-func Serve(addr string, src Source, opts Options) (*Server, error) {
+func Serve(addr string, src Source) (*Server, error) {
 	if src == nil {
 		return nil, fmt.Errorf("ctlplane: nil Source")
-	}
-	every := opts.RefreshEvery
-	if every <= 0 {
-		every = time.Second
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("ctlplane: listen %s: %w", addr, err)
 	}
-	s := &Server{src: src, ln: ln, every: every, done: make(chan struct{})}
+	s := &Server{src: src, ln: ln, every: refreshEvery, done: make(chan struct{})}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", get(s.handleHealthz))

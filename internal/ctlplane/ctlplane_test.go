@@ -48,11 +48,12 @@ func (f *fakeSource) add(line string) {
 	f.ch = make(chan struct{})
 }
 
-// startServer runs a control plane on an ephemeral port and tears it
-// down with the test.
+// startServer runs a control plane that refreshes every 10ms on an
+// ephemeral port and tears it down with the test.
 func startServer(t *testing.T, src Source) *Server {
 	t.Helper()
-	s, err := Serve("127.0.0.1:0", src, Options{RefreshEvery: 10 * time.Millisecond})
+	refreshEvery = 10 * time.Millisecond
+	s, err := Serve("127.0.0.1:0", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,10 +220,10 @@ func TestCloseUnblocksStreams(t *testing.T) {
 }
 
 func TestServeBadAddr(t *testing.T) {
-	if _, err := Serve("256.0.0.1:bogus", newFakeSource(), Options{}); err == nil {
+	if _, err := Serve("256.0.0.1:bogus", newFakeSource()); err == nil {
 		t.Error("Serve on a bogus address must error")
 	}
-	if _, err := Serve("127.0.0.1:0", nil, Options{}); err == nil {
+	if _, err := Serve("127.0.0.1:0", nil); err == nil {
 		t.Error("Serve with a nil Source must error")
 	}
 }

@@ -3,11 +3,14 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"weakorder/internal/faults"
 	"weakorder/internal/gen"
+	"weakorder/internal/lang"
 	"weakorder/internal/litmus"
 	"weakorder/internal/policy"
 	"weakorder/internal/program"
@@ -18,7 +21,7 @@ import (
 func runBoth(t *testing.T, p *program.Program, cfg Config, seed int64) (ff, naive *RunResult) {
 	t.Helper()
 	slow := cfg
-	slow.DisableFastForward = true
+	slow.disableFastForward = true
 	naiveRes, nErr := Run(p, slow, seed)
 	ffRes, fErr := Run(p, cfg, seed)
 	if (nErr == nil) != (fErr == nil) || (nErr != nil && nErr.Error() != fErr.Error()) {
@@ -60,9 +63,10 @@ func assertIdentical(t *testing.T, label string, ff, naive *RunResult) {
 	}
 }
 
-// TestFastForwardByteIdentical sweeps litmus and generated programs
-// across the full configuration matrix: skipping idle cycles must not
-// change a single observable of any run.
+// TestFastForwardByteIdentical sweeps litmus and generated programs, and
+// the campaign's committed corpus reproducers, across the full
+// configuration matrix: skipping idle cycles must not change a single
+// observable of any run.
 func TestFastForwardByteIdentical(t *testing.T) {
 	progs := []*program.Program{
 		litmus.Dekker(),
@@ -74,6 +78,21 @@ func TestFastForwardByteIdentical(t *testing.T) {
 			Sections: 1, OpsPerSection: 2, PrivateOps: 1,
 		}, 11),
 		gen.Racy(gen.RacyConfig{Procs: 3, Vars: 3, OpsPerProc: 5, SyncFraction: 4}, 11),
+	}
+	corpus, err := filepath.Glob(filepath.Join("..", "check", "testdata", "corpus", "*.litmus"))
+	if err != nil || len(corpus) == 0 {
+		t.Fatalf("no corpus reproducers found (%v)", err)
+	}
+	for _, path := range corpus {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := lang.Parse(string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		progs = append(progs, p)
 	}
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {
@@ -129,7 +148,7 @@ func TestFastForwardWatchdogParity(t *testing.T) {
 	wedged := 0
 	for seed := int64(1); seed <= 8; seed++ {
 		slow := cfg
-		slow.DisableFastForward = true
+		slow.disableFastForward = true
 		_, nErr := Run(p, slow, seed)
 		_, fErr := Run(p, cfg, seed)
 		var nLive, fLive *LivenessError

@@ -123,14 +123,13 @@ type Config struct {
 	// reads from cached-shared copies to uncached remote value reads (an
 	// ablation; see cache.Config.ROSyncUncached).
 	ROUncachedTest bool
-	// DisableFastForward forces the run loop to tick every cycle
+	// disableFastForward forces the run loop to tick every cycle
 	// individually instead of skipping idle stretches (cycles where
 	// every processor is provably inert and no kernel event or cache
 	// retry deadline is due). Fast-forward is semantics-preserving —
-	// runs are byte-identical either way, which the differential tests
-	// assert using this switch; it exists only for those tests and for
-	// debugging.
-	DisableFastForward bool
+	// runs are byte-identical either way — and this package's
+	// differential tests set the field to run the naive reference.
+	disableFastForward bool
 	// Metrics enables the telemetry registry: RunResult.Metrics carries a
 	// deterministic snapshot of every counter, gauge, and histogram (see
 	// internal/metrics). Off by default and free when off; enabling it
@@ -793,7 +792,7 @@ func (m *Machine) Run() (*RunResult, error) {
 		// stall accounting — to keep runs byte-identical with the
 		// one-cycle-at-a-time loop. Migration progress is per-cycle
 		// stateful, so any pending migration disables skipping.
-		if m.cfg.DisableFastForward || len(m.pendingMigrations) > 0 {
+		if m.cfg.disableFastForward || len(m.pendingMigrations) > 0 {
 			continue
 		}
 		// Halted processors are quiescent and accrue no stall cycles, so

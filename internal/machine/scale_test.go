@@ -215,7 +215,7 @@ func TestMachineStepAllocFree(t *testing.T) {
 			cfg := Config{
 				Policy: policy.WODef2, Topology: TopoMesh, Caches: true,
 				ExtraProcs:         256 - prog.NumThreads(),
-				DisableFastForward: ff.disable,
+				disableFastForward: ff.disable,
 			}
 			pool := NewPool()
 			var cycles uint64

@@ -33,8 +33,6 @@ import (
 
 // Config bounds the search.
 type Config struct {
-	// Interp bounds each interpreted path.
-	Interp ideal.Config
 	// MaxStates aborts the search after visiting this many states
 	// (0 = DefaultMaxStates).
 	MaxStates int
@@ -106,7 +104,6 @@ func Decide(p *program.Program, r mem.Result, cfg Config) (Match, error) {
 func Matches(p *program.Program, r mem.Result, cfg Config) (Match, error) {
 	var m Match
 	stats, err := ideal.Enumerate(p, ideal.EnumConfig{
-		Interp:        cfg.Interp,
 		MaxPaths:      cfg.maxStates(),
 		SkipTruncated: true,
 		Reduce:        true,
