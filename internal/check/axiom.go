@@ -15,12 +15,11 @@ import (
 	"weakorder/internal/scmatch"
 )
 
-// Axiomatic-vs-operational differential budgets: the default per-thread
-// memory-op budget, the axiomatic search's step cap and the operational
-// enumerations' path cap. The per-thread budget is deliberately smaller
-// than oracleMemOpsPerThread: the axiomatic side enumerates rf and co
-// combinatorially, so its cost grows much faster with event count than
-// the interleaving oracle's.
+// Axiomatic-vs-operational differential budgets. Only the per-thread
+// memory-op budget can be overridden (AxiomDiffConfig.MemOpsPerThread),
+// and it is deliberately smaller than oracleMemOpsPerThread: the
+// axiomatic side enumerates rf and co combinatorially, so its cost grows
+// much faster with event count than the interleaving oracle's.
 const (
 	axiomDiffMemOps    = 6
 	axiomDiffMaxSteps  = 1 << 21
